@@ -6,9 +6,9 @@ use crate::cds::CorrelatedDoubleSampler;
 use crate::current_range::CurrentRange;
 use crate::error::AfeError;
 use crate::fault::{Fault, FaultRuntime};
-use crate::noise::{NoiseConfig, NoiseSource};
+use crate::noise::{NoiseConfig, NoiseSource, NoiseStep};
 use crate::potentiostat::Potentiostat;
-use crate::tia::Tia;
+use crate::tia::{Tia, TiaStream};
 use crate::vgen::VoltageGenerator;
 use bios_electrochem::PotentialProgram;
 use bios_units::{Amps, Hertz, Ohms, Seconds, Volts};
@@ -267,6 +267,10 @@ impl ReadoutChain {
     /// (only consulted when CDS is enabled — pass a closure returning
     /// [`Amps::ZERO`] otherwise).
     ///
+    /// This is [`trajectory`](Self::trajectory) followed by
+    /// [`stream`](Self::stream); callers that acquire the same program
+    /// repeatedly can plan the trajectory once and stream it per run.
+    ///
     /// # Errors
     ///
     /// Returns [`AfeError`] if the program violates the voltage generator's
@@ -283,17 +287,169 @@ impl ReadoutChain {
         A: FnMut(Seconds, Volts) -> Amps,
         B: FnMut(Seconds, Volts) -> Amps,
     {
+        let trajectory = self.trajectory(program, dt)?;
+        self.stream(
+            &trajectory,
+            seed,
+            |_, p| active(p.t, p.applied),
+            |_, p| blank(p.t, p.applied),
+        )
+    }
+
+    /// The part of an acquisition of `program` sampled every `dt` that no
+    /// seed, input current or fault can change: each sample's time, DAC
+    /// setpoint and applied cell potential.
+    ///
+    /// Faults act on currents, the TIA output and codes only, so a chain
+    /// and its faulted twins (same [`ChainConfig`]) share one trajectory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AfeError`] if the program violates the voltage generator's
+    /// range or slew limits, or `dt` is non-positive.
+    pub fn trajectory(
+        &self,
+        program: &PotentialProgram,
+        dt: Seconds,
+    ) -> Result<Trajectory, AfeError> {
         if dt.value() <= 0.0 {
             return Err(AfeError::invalid("dt", "must be positive"));
         }
         self.config.vgen.check(program)?;
+        let mut pstat = self
+            .config
+            .potentiostat
+            .streamer(program.potential_at(Seconds::ZERO));
+        let fraction = self.config.potentiostat.step_fraction(dt);
+        // A Hold program's DAC setpoint is the same at every sample
+        // (realize = quantize(potential), independent of t).
+        let hold_setpoint = match program {
+            PotentialProgram::Hold { .. } => {
+                Some(self.config.vgen.realize(program, Seconds::ZERO)?)
+            }
+            _ => None,
+        };
+        let duration = program.duration();
+        let steps = (duration.value() / dt.value()).round() as usize;
+        let mut points = Vec::with_capacity(steps + 1);
+        for k in 0..=steps {
+            let t = Seconds::new((k as f64 * dt.value()).min(duration.value()));
+            let setpoint = match hold_setpoint {
+                Some(v) => v,
+                None => self.config.vgen.realize(program, t)?,
+            };
+            let applied = pstat.step_with(setpoint, fraction);
+            points.push(TrajectoryPoint {
+                t,
+                setpoint,
+                applied,
+            });
+        }
+        Ok(Trajectory {
+            config: self.config,
+            dt,
+            points,
+        })
+    }
 
+    /// Streams the noise, the input currents, the faults and the
+    /// digitizer over a planned `trajectory`: the per-run half of
+    /// [`acquire`](Self::acquire), bit-identical to it for the same seed.
+    ///
+    /// `active` and `blank` receive each sample's index and trajectory
+    /// point, so a caller can look up per-sample work it planned too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AfeError::InvalidParameter`] if `trajectory` was planned
+    /// on a chain with a different [`ChainConfig`].
+    pub fn stream<A, B>(
+        &self,
+        trajectory: &Trajectory,
+        seed: u64,
+        mut active: A,
+        mut blank: B,
+    ) -> Result<Vec<Sample>, AfeError>
+    where
+        A: FnMut(usize, &TrajectoryPoint) -> Amps,
+        B: FnMut(usize, &TrajectoryPoint) -> Amps,
+    {
+        if trajectory.config != self.config {
+            return Err(AfeError::invalid(
+                "trajectory",
+                "planned for a different chain configuration",
+            ));
+        }
+        let mut state = StreamState::new(self, trajectory.dt, seed);
+        let mut out = Vec::with_capacity(trajectory.points.len());
+        for (k, p) in trajectory.points.iter().enumerate() {
+            let i_active = active(k, p);
+            let i_blank = if state.cds_residual.is_some() {
+                blank(k, p)
+            } else {
+                Amps::ZERO
+            };
+            out.push(state.stream_sample(k, p, i_active, i_blank));
+        }
+        Ok(out)
+    }
+}
+
+/// One sample's fault-independent state: see [`ReadoutChain::trajectory`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrajectoryPoint {
+    /// Sample time.
+    pub t: Seconds,
+    /// Programmed (DAC-quantized) setpoint potential.
+    pub setpoint: Volts,
+    /// Potential the potentiostat actually applies to the cell.
+    pub applied: Volts,
+}
+
+/// A planned acquisition: the sample times and potentials of one program
+/// at one sample interval through one chain configuration, from
+/// [`ReadoutChain::trajectory`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Trajectory {
+    config: ChainConfig,
+    dt: Seconds,
+    points: Vec<TrajectoryPoint>,
+}
+
+impl Trajectory {
+    /// One point per sample, in time order.
+    pub fn points(&self) -> &[TrajectoryPoint] {
+        &self.points
+    }
+}
+
+/// The per-run state of one [`ReadoutChain::stream`]: noise generators,
+/// filter states and fault runtime, plus every per-sample constant taken
+/// once.
+struct StreamState<'a> {
+    config: &'a ChainConfig,
+    amp_active: NoiseSource,
+    amp_blank: NoiseSource,
+    drift: NoiseSource,
+    amp_step: NoiseStep,
+    drift_step: NoiseStep,
+    tia: TiaStream,
+    tia_fraction: f64,
+    cds_residual: Option<f64>,
+    fault_rt: FaultRuntime,
+    inject: bool,
+    max_code: i32,
+}
+
+impl<'a> StreamState<'a> {
+    fn new(chain: &'a ReadoutChain, dt: Seconds, seed: u64) -> Self {
+        let config = &chain.config;
         // Amplifier-side noise (white + flicker): chopped if enabled.
         let amp_cfg = NoiseConfig {
             drift_per_sqrt_s: 0.0,
-            ..self.config.noise
+            ..config.noise
         };
-        let amp_cfg = if self.config.chopper {
+        let amp_cfg = if config.chopper {
             amp_cfg.chopped(CHOPPER_SUPPRESSION)
         } else {
             amp_cfg
@@ -303,96 +459,86 @@ impl ReadoutChain {
         let drift_cfg = NoiseConfig {
             white_density: 0.0,
             flicker_density_1hz: 0.0,
-            drift_per_sqrt_s: self.config.noise.drift_per_sqrt_s,
+            drift_per_sqrt_s: config.noise.drift_per_sqrt_s,
         };
-        let mut amp_active = NoiseSource::new(amp_cfg, seed);
-        let mut amp_blank = NoiseSource::new(amp_cfg, seed.wrapping_add(1));
-        let mut drift = NoiseSource::new(drift_cfg, seed.wrapping_add(2));
-
-        let mut pstat = self
-            .config
-            .potentiostat
-            .streamer(program.potential_at(Seconds::ZERO));
-        let mut tia = self.config.tia.streamer();
-
+        let amp_active = NoiseSource::new(amp_cfg, seed);
+        let amp_blank = NoiseSource::new(amp_cfg, seed.wrapping_add(1));
+        let drift = NoiseSource::new(drift_cfg, seed.wrapping_add(2));
+        let amp_step = amp_active.step_for(dt);
+        let drift_step = drift.step_for(dt);
         // Fault injection sits between the ideal blocks: currents are
         // perturbed before the TIA, compliance collapse clips its output,
         // and code faults hit after quantization. A no-op runtime (all
         // severities zero) is skipped entirely so fault-free acquisitions
         // stay bit-identical to the pre-fault-model chain.
-        let mut fault_rt = FaultRuntime::new(
-            &self.faults,
-            self.fault_seed,
-            self.config.full_scale_current(),
-        );
+        let fault_rt =
+            FaultRuntime::new(&chain.faults, chain.fault_seed, config.full_scale_current());
         let inject = !fault_rt.is_noop();
-        let max_code = (1i32 << (self.config.adc.bits() - 1)) - 1;
-
-        // Hoisted loop invariants: a Hold program's DAC setpoint is the
-        // same at every sample (realize = quantize(potential), independent
-        // of t), and the CDS residual fraction never changes mid-run.
-        // Both used to be recomputed per step.
-        let hold_setpoint = match program {
-            PotentialProgram::Hold { .. } => {
-                Some(self.config.vgen.realize(program, Seconds::ZERO)?)
-            }
-            _ => None,
-        };
-        let cds_residual = self
-            .config
-            .cds
-            .as_ref()
-            .map(|c| c.residual_drift_fraction());
-
-        let duration = program.duration();
-        let steps = (duration.value() / dt.value()).round() as usize;
-        let mut out = Vec::with_capacity(steps + 1);
-        for k in 0..=steps {
-            let t = Seconds::new((k as f64 * dt.value()).min(duration.value()));
-            let setpoint = match hold_setpoint {
-                Some(v) => v,
-                None => self.config.vgen.realize(program, t)?,
-            };
-            let applied = pstat.step(setpoint, dt);
-            let drift_now = drift.sample(dt);
-            let i_active = active(t, applied) + amp_active.sample(dt);
-            let i_meas = match cds_residual {
-                Some(residual) => {
-                    let i_blank = blank(t, applied) + amp_blank.sample(dt);
-                    // Shared drift attenuates by the matching rejection.
-                    i_active - i_blank + drift_now * residual
-                }
-                None => i_active + drift_now,
-            };
-            let i_meas = if inject {
-                fault_rt.apply_current(k, t, i_meas)
-            } else {
-                i_meas
-            };
-            let v = tia.process(i_meas, dt);
-            let v = if inject {
-                fault_rt.apply_voltage(t, v, self.config.tia.rail())
-            } else {
-                v
-            };
-            let code = self.config.adc.quantize(v);
-            let code = if inject {
-                fault_rt.apply_code(k, t, code, max_code)
-            } else {
-                code
-            };
-            let volts = self.config.adc.to_volts(code);
-            let current = Amps::new(volts.value() / self.config.tia.gain());
-            out.push(Sample {
-                t,
-                setpoint,
-                applied,
-                code,
-                volts,
-                current,
-            });
+        Self {
+            config,
+            amp_active,
+            amp_blank,
+            drift,
+            amp_step,
+            drift_step,
+            tia: config.tia.streamer(),
+            tia_fraction: config.tia.step_fraction(dt),
+            cds_residual: config.cds.as_ref().map(|c| c.residual_drift_fraction()),
+            fault_rt,
+            inject,
+            max_code: (1i32 << (config.adc.bits() - 1)) - 1,
         }
-        Ok(out)
+    }
+
+    /// One sample through noise, CDS, faults, TIA and ADC, given the
+    /// electrode currents (`blank` is read only under CDS).
+    // advdiag::hot — the per-sample streaming body: runs once per sample of
+    // every served acquisition
+    fn stream_sample(
+        &mut self,
+        k: usize,
+        p: &TrajectoryPoint,
+        active: Amps,
+        blank: Amps,
+    ) -> Sample {
+        let t = p.t;
+        let drift_now = self.drift.draw(&self.drift_step);
+        let i_active = active + self.amp_active.draw(&self.amp_step);
+        let i_meas = match self.cds_residual {
+            Some(residual) => {
+                let i_blank = blank + self.amp_blank.draw(&self.amp_step);
+                // Shared drift attenuates by the matching rejection.
+                i_active - i_blank + drift_now * residual
+            }
+            None => i_active + drift_now,
+        };
+        let i_meas = if self.inject {
+            self.fault_rt.apply_current(k, t, i_meas)
+        } else {
+            i_meas
+        };
+        let v = self.tia.process_with(i_meas, self.tia_fraction);
+        let v = if self.inject {
+            self.fault_rt.apply_voltage(t, v, self.config.tia.rail())
+        } else {
+            v
+        };
+        let code = self.config.adc.quantize(v);
+        let code = if self.inject {
+            self.fault_rt.apply_code(k, t, code, self.max_code)
+        } else {
+            code
+        };
+        let volts = self.config.adc.to_volts(code);
+        let current = Amps::new(volts.value() / self.config.tia.gain());
+        Sample {
+            t,
+            setpoint: p.setpoint,
+            applied: p.applied,
+            code,
+            volts,
+            current,
+        }
     }
 }
 
@@ -400,6 +546,7 @@ impl ReadoutChain {
 mod tests {
     use super::*;
     use crate::cds::MatchingQuality;
+    use crate::fault::FaultKind;
 
     fn hold(mv: f64, secs: f64) -> PotentialProgram {
         PotentialProgram::Hold {
@@ -552,6 +699,31 @@ mod tests {
                 |_, _| Amps::ZERO
             )
             .is_err());
+    }
+
+    #[test]
+    fn faulted_twins_share_the_trajectory_and_foreign_plans_are_refused() {
+        let c = chain();
+        let program = hold(650.0, 2.0);
+        let dt = Seconds::from_millis(100.0);
+        let faults = vec![Fault::immediate(FaultKind::ElectrodeOpen, 1.0).expect("fault")];
+        let twin = c.clone().with_faults(faults, 9);
+        let plan = c.trajectory(&program, dt).expect("plan");
+        assert_eq!(plan, twin.trajectory(&program, dt).expect("twin plan"));
+        let input = |_: usize, _: &TrajectoryPoint| Amps::from_nanoamps(200.0);
+        assert_eq!(
+            twin.stream(&plan, 4, input, input).expect("stream"),
+            twin.acquire(
+                &program,
+                dt,
+                4,
+                |_, _| Amps::from_nanoamps(200.0),
+                |_, _| { Amps::ZERO }
+            )
+            .expect("acquire")
+        );
+        let chopped = ReadoutChain::new(c.config().with_chopper());
+        assert!(chopped.stream(&plan, 4, input, input).is_err());
     }
 
     #[test]

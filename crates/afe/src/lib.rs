@@ -55,7 +55,9 @@ mod vgen;
 
 pub use adc::Adc;
 pub use cds::{CorrelatedDoubleSampler, MatchingQuality};
-pub use chain::{ChainConfig, ReadoutChain, Sample, CHOPPER_SUPPRESSION};
+pub use chain::{
+    ChainConfig, ReadoutChain, Sample, Trajectory, TrajectoryPoint, CHOPPER_SUPPRESSION,
+};
 pub use current_range::CurrentRange;
 pub use error::AfeError;
 pub use fault::{Fault, FaultKind, FaultPlan};

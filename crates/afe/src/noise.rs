@@ -115,23 +115,71 @@ impl NoiseSource {
     ///
     /// Panics if `dt` is not strictly positive.
     pub fn sample(&mut self, dt: Seconds) -> Amps {
+        let step = self.step_for(dt);
+        self.draw(&step)
+    }
+
+    /// The per-sample scale factors at sample interval `dt`, for
+    /// [`draw`](Self::draw). Constant over an acquisition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt` is not strictly positive.
+    pub(crate) fn step_for(&self, dt: Seconds) -> NoiseStep {
         assert!(dt.value() > 0.0, "sample interval must be positive");
         let bandwidth = 0.5 / dt.value(); // Nyquist bandwidth of the sample
-        let white_sd = self.config.white_density * bandwidth.sqrt();
-        let white = self.gaussian() * white_sd;
+        let sqrt_dt = dt.value().sqrt();
+        NoiseStep {
+            white_sd: self.config.white_density * bandwidth.sqrt(),
+            // Scale so the density near 1 Hz matches the configured value
+            // for this sample rate (empirical Voss–McCartney normalization).
+            pink_gain: (bandwidth.ln().max(1.0)).sqrt(),
+            sqrt_dt,
+            // A zero coefficient times a finite draw times a finite √dt is
+            // an exact zero, so the draw's value is not needed.
+            // advdiag::allow(F1, exact sentinel: only an exactly zero coefficient makes the drift increment an exact zero)
+            drift_is_zero: self.config.drift_per_sqrt_s == 0.0 && sqrt_dt.is_finite(),
+        }
+    }
+
+    /// [`sample`](Self::sample) with the scale factors already taken.
+    ///
+    /// Every draw consumes the same random numbers in the same order
+    /// whatever the configuration, so streams stay aligned. A gaussian
+    /// whose scale is exactly zero skips its `ln`/`cos` and contributes
+    /// `+0.0`. The result stays bit-identical to computing it: the skipped
+    /// term could only differ in the sign of a zero, and no such sign
+    /// reaches `white + pink + drift`, because the drift walk starts at
+    /// `+0.0` and can never become `-0.0`.
+    pub(crate) fn draw(&mut self, step: &NoiseStep) -> Amps {
+        // advdiag::allow(F1, exact sentinel: only an exactly zero scale makes the white term an exact zero)
+        let white = if step.white_sd == 0.0 {
+            self.skip_gaussian();
+            0.0
+        } else {
+            self.gaussian() * step.white_sd
+        };
 
         // Pink noise: refresh row k every 2^k samples.
         self.counter = self.counter.wrapping_add(1);
         let flips = self.counter.trailing_zeros().min(15);
         let idx = flips as usize;
         self.rows[idx] = self.rng.gen_range(-1.0..1.0);
-        let pink_raw: f64 = self.rows.iter().sum::<f64>() / (16f64).sqrt();
-        // Scale so the density near 1 Hz matches the configured value for
-        // this sample rate (empirical Voss–McCartney normalization).
-        let pink = pink_raw * self.config.flicker_density_1hz * (bandwidth.ln().max(1.0)).sqrt();
+        // Summed in row order from -0.0, the additive identity
+        // `Iterator::sum` starts from.
+        let mut rows_sum = -0.0;
+        for r in &self.rows {
+            rows_sum += r;
+        }
+        let pink_raw = rows_sum / (16f64).sqrt();
+        let pink = pink_raw * self.config.flicker_density_1hz * step.pink_gain;
 
         // Random-walk drift.
-        self.drift += self.gaussian() * self.config.drift_per_sqrt_s * dt.value().sqrt();
+        if step.drift_is_zero {
+            self.skip_gaussian();
+        } else {
+            self.drift += self.gaussian() * self.config.drift_per_sqrt_s * step.sqrt_dt;
+        }
 
         Amps::new(white + pink + self.drift)
     }
@@ -153,6 +201,22 @@ impl NoiseSource {
         let u2: f64 = self.rng.gen_range(0.0..1.0);
         (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
     }
+
+    /// Consumes a gaussian's two uniform draws without transforming them.
+    fn skip_gaussian(&mut self) {
+        let _: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let _: f64 = self.rng.gen_range(0.0..1.0);
+    }
+}
+
+/// A [`NoiseSource`]'s per-sample scale factors at one sample interval,
+/// from [`NoiseSource::step_for`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct NoiseStep {
+    white_sd: f64,
+    pink_gain: f64,
+    sqrt_dt: f64,
+    drift_is_zero: bool,
 }
 
 #[cfg(test)]

@@ -113,6 +113,13 @@ impl Potentiostat {
         Seconds::new(1.0 / (2.0 * core::f64::consts::PI * self.gain_bandwidth.value()))
     }
 
+    /// The fraction of the remaining control error the loop removes in
+    /// one step of length `dt`: `1 − exp(−dt/τ)`. Constant over an
+    /// acquisition, so streams take it once rather than per sample.
+    pub(crate) fn step_fraction(&self, dt: Seconds) -> f64 {
+        1.0 - (-dt.value() / self.settling_tau().value()).exp()
+    }
+
     /// Checks that the counter electrode can drive `cell_current` through a
     /// cell of total impedance `cell_resistance` while holding `setpoint`.
     ///
@@ -169,10 +176,14 @@ impl PotentiostatStream {
     /// Panics if `dt` is not strictly positive.
     pub fn step(&mut self, setpoint: Volts, dt: Seconds) -> Volts {
         assert!(dt.value() > 0.0, "time step must be positive");
+        self.step_with(setpoint, self.pstat.step_fraction(dt))
+    }
+
+    /// [`step`](Self::step) with the step fraction
+    /// ([`Potentiostat::step_fraction`]) already taken.
+    pub(crate) fn step_with(&mut self, setpoint: Volts, fraction: f64) -> Volts {
         let target = self.pstat.applied(setpoint).value();
-        let tau = self.pstat.settling_tau().value();
-        let alpha = 1.0 - (-dt.value() / tau).exp();
-        self.state += alpha * (target - self.state);
+        self.state += fraction * (target - self.state);
         Volts::new(self.state)
     }
 

@@ -114,6 +114,14 @@ impl Tia {
         Amps::new(self.rail.value() / self.feedback.value())
     }
 
+    /// The fraction of the distance to its static target the one-pole
+    /// output covers in one sample of length `dt`: `1 − exp(−dt/τ)` with
+    /// `τ = 1/(2π·bandwidth)`. Constant over an acquisition.
+    pub(crate) fn step_fraction(&self, dt: Seconds) -> f64 {
+        let tau = 1.0 / (2.0 * core::f64::consts::PI * self.bandwidth.value());
+        1.0 - (-dt.value() / tau).exp()
+    }
+
     /// Creates a streaming state for dynamic (one-pole) conversion.
     pub fn streamer(&self) -> TiaStream {
         TiaStream {
@@ -139,10 +147,14 @@ impl TiaStream {
     /// Panics if `dt` is not strictly positive.
     pub fn process(&mut self, i: Amps, dt: Seconds) -> Volts {
         assert!(dt.value() > 0.0, "time step must be positive");
+        self.process_with(i, self.tia.step_fraction(dt))
+    }
+
+    /// [`process`](Self::process) with the step fraction
+    /// ([`Tia::step_fraction`]) already taken.
+    pub(crate) fn process_with(&mut self, i: Amps, fraction: f64) -> Volts {
         let target = (i + self.tia.input_offset).value() * self.tia.gain();
-        let tau = 1.0 / (2.0 * core::f64::consts::PI * self.tia.bandwidth.value());
-        let alpha = 1.0 - (-dt.value() / tau).exp();
-        self.state += alpha * (target - self.state);
+        self.state += fraction * (target - self.state);
         Volts::new(
             self.state
                 .clamp(-self.tia.rail.value(), self.tia.rail.value()),

@@ -7,7 +7,8 @@
 //!    completion, every served report compared bit-for-bit against a
 //!    same-seed blocking baseline (any mismatch is a silent corruption),
 //!    with p50/p99/max per-step latency sampled through a wall
-//!    [`bios_server::Clock`].
+//!    [`bios_server::Clock`] into the server's bounded log-scale
+//!    histogram.
 //! 2. **Chaos matrix** — server-level faults (device stalls, mid-session
 //!    aborts) crossed with AFE fault overlays; every induced failure must
 //!    surface (typed outcome, flagged report or fleet quarantine) or be
@@ -90,11 +91,12 @@ pub struct LoadResult {
     /// Served reports that were NOT bit-identical to their same-seed
     /// blocking baseline — silent corruptions; the gate is 0.
     pub mismatches: usize,
-    /// Median per-step latency, microseconds.
+    /// Median per-step latency, microseconds (upper edge of its
+    /// latency-histogram bucket).
     pub p50_step_us: f64,
-    /// 99th-percentile per-step latency, microseconds.
+    /// 99th-percentile per-step latency, microseconds (bucket upper edge).
     pub p99_step_us: f64,
-    /// Worst per-step latency, microseconds.
+    /// Worst per-step latency, microseconds (bucket upper edge).
     pub max_step_us: f64,
     /// Wall time to serve the whole fleet, seconds.
     pub wall_s: f64,
@@ -279,15 +281,10 @@ fn run_load(policy: ExecPolicy, sessions: usize) -> LoadResult {
     }
     let wall_s = (clock.now_nanos() - t0) as f64 / 1e9;
 
-    let mut latencies = server.drain_latencies();
-    latencies.sort_unstable();
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() - 1) as f64 * p).round() as usize;
-        latencies[idx] as f64 / 1e3
-    };
+    // Bucket upper edges of the server's fixed log-scale histogram: each
+    // figure is at most 25% above the true percentile.
+    let latencies = server.drain_latency_histogram();
+    let pct = |p: f64| latencies.quantile(p) as f64 / 1e3;
     let (p50_step_us, p99_step_us, max_step_us) = (pct(0.50), pct(0.99), pct(1.0));
 
     // Bit-exact verification: one blocking baseline per distinct seed

@@ -83,6 +83,20 @@ struct CypSubstrate {
     blank_sd: AmpsPerCm2,
 }
 
+impl CypSubstrate {
+    fn amplitude(&self, concentrations: &[(Analyte, Molar)]) -> Option<f64> {
+        let c = concentrations
+            .iter()
+            .find(|(a, _)| *a == self.analyte)
+            .map(|(_, c)| *c)
+            .unwrap_or(Molar::ZERO);
+        if c.value() <= 0.0 {
+            return None;
+        }
+        Some(self.sensitivity_si * self.kinetics.km().value() * self.kinetics.saturation(c))
+    }
+}
+
 /// A calibrated cytochrome P450 voltammetric sensor.
 ///
 /// # Example
@@ -252,8 +266,33 @@ impl CypSensor {
         concentrations: &[(Analyte, Molar)],
         temperature: Kelvin,
     ) -> AmpsPerCm2 {
+        let mut j = self
+            .baseline_density(e, scan_rate, direction_up, temperature)
+            .value();
+        if !direction_up {
+            let shift = self.laviron_shift(scan_rate, temperature);
+            for sub in &self.substrates {
+                let Some(amplitude) = sub.amplitude(concentrations) else {
+                    continue;
+                };
+                let e_peak = Volts::new(sub.peak_potential.value() - shift);
+                j -= amplitude * catalytic_line_shape(e, e_peak, temperature);
+            }
+        }
+        AmpsPerCm2::new(j)
+    }
+
+    /// The heme baseline wave of [`current_density`](Self::current_density)
+    /// alone: centred at the mean substrate potential, positive on the
+    /// anodic sweep and negative on the cathodic one.
+    pub fn baseline_density(
+        &self,
+        e: Volts,
+        scan_rate: VoltsPerSecond,
+        direction_up: bool,
+        temperature: Kelvin,
+    ) -> AmpsPerCm2 {
         let rt = GAS_CONSTANT * temperature.value();
-        // Baseline heme wave centred at the mean substrate potential.
         let e_heme = self
             .substrates
             .iter()
@@ -261,34 +300,22 @@ impl CypSensor {
             .sum::<f64>()
             / self.substrates.len() as f64;
         let xi = (FARADAY * (e.value() - e_heme) / rt).clamp(-200.0, 200.0);
-        let shape = xi.exp() / (1.0 + xi.exp()).powi(2);
+        let ex = xi.exp();
+        let shape = ex / (1.0 + ex).powi(2);
         let base_mag = FARADAY * FARADAY / rt * self.coverage.value() * scan_rate.value() * shape;
-        let mut j = if direction_up { base_mag } else { -base_mag };
-        if !direction_up {
-            let shift = self.laviron_shift(scan_rate, temperature);
-            for sub in &self.substrates {
-                let c = concentrations
-                    .iter()
-                    .find(|(a, _)| *a == sub.analyte)
-                    .map(|(_, c)| *c)
-                    .unwrap_or(Molar::ZERO);
-                if c.value() <= 0.0 {
-                    continue;
-                }
-                let amplitude =
-                    sub.sensitivity_si * sub.kinetics.km().value() * sub.kinetics.saturation(c);
-                let e_peak = sub.peak_potential.value() - shift;
-                // Two-electron catalytic wave (paper eq. 4: substrate + O₂ +
-                // 2H⁺ + 2e⁻ → product + H₂O), so the line shape uses n = 2 —
-                // FWHM ≈ 45 mV, which is what lets CYP2B4 resolve
-                // benzphetamine (−250 mV) from aminopyrine (−400 mV).
-                let xi_c = (2.0 * FARADAY * (e.value() - e_peak) / rt).clamp(-200.0, 200.0);
-                // Normalized to 1 at the peak (4× the logistic product).
-                let shape_c = 4.0 * xi_c.exp() / (1.0 + xi_c.exp()).powi(2);
-                j -= amplitude * shape_c;
-            }
-        }
-        AmpsPerCm2::new(j)
+        AmpsPerCm2::new(if direction_up { base_mag } else { -base_mag })
+    }
+
+    /// The catalytic wave amplitude `S·Km·C/(Km + C)` in A/cm² of
+    /// `analyte` at its concentration in `concentrations` (first entry
+    /// wins). `None` when the analyte is unsupported or absent (`C ≤ 0`):
+    /// an absent substrate contributes no wave at all.
+    pub fn catalytic_amplitude(
+        &self,
+        analyte: Analyte,
+        concentrations: &[(Analyte, Molar)],
+    ) -> Option<f64> {
+        self.find(analyte)?.amplitude(concentrations)
     }
 
     fn find(&self, analyte: Analyte) -> Option<&CypSubstrate> {
@@ -305,6 +332,21 @@ impl CypSensor {
             2.0 * GAS_CONSTANT * temperature.value() / FARADAY * ratio.ln()
         }
     }
+}
+
+/// The normalized catalytic line shape at potential `e` of a wave peaking
+/// at `e_peak`: `4·e^ξ/(1 + e^ξ)²` with `ξ = 2F(E − E_peak)/RT` clamped to
+/// ±200, which is 1 at the peak.
+///
+/// The catalytic reaction is two-electron (paper eq. 4: substrate + O₂ +
+/// 2H⁺ + 2e⁻ → product + H₂O), so the shape uses n = 2 — FWHM ≈ 45 mV,
+/// which is what lets CYP2B4 resolve benzphetamine (−250 mV) from
+/// aminopyrine (−400 mV).
+pub fn catalytic_line_shape(e: Volts, e_peak: Volts, temperature: Kelvin) -> f64 {
+    let rt = GAS_CONSTANT * temperature.value();
+    let xi = (2.0 * FARADAY * (e.value() - e_peak.value()) / rt).clamp(-200.0, 200.0);
+    let ex = xi.exp();
+    4.0 * ex / (1.0 + ex).powi(2)
 }
 
 #[cfg(test)]

@@ -215,9 +215,15 @@ impl OxidaseSensor {
         c_after: Molar,
         t_since_step: Seconds,
     ) -> AmpsPerCm2 {
+        self.step_current_density(c_before, c_after, self.membrane.step_response(t_since_step))
+    }
+
+    /// [`transient_current_density`](Self::transient_current_density) at
+    /// a known membrane step response `f` (the fraction of the step
+    /// completed; [`Membrane::step_response`]).
+    pub fn step_current_density(&self, c_before: Molar, c_after: Molar, f: f64) -> AmpsPerCm2 {
         let j0 = self.steady_current_density(c_before);
         let j1 = self.steady_current_density(c_after);
-        let f = self.membrane.step_response(t_since_step);
         AmpsPerCm2::new(j0.value() + (j1.value() - j0.value()) * f)
     }
 

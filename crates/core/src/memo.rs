@@ -3,12 +3,12 @@
 //! Two families of work are recomputed verbatim across sessions and
 //! exploration runs:
 //!
-//! * **Calibration traces** — `ReadoutChain::baseline_noise_reference` and
-//!   `ReadoutChain::self_test_response` run with *fixed* protocol seeds
-//!   ([`NOISE_REFERENCE_SEED`](crate::platform) and friends), so a given
-//!   chain configuration always produces the same figure. A fault-matrix
-//!   campaign re-derives the same reference on every one of its ~150
-//!   sessions.
+//! * **Self-test traces** — `ReadoutChain::self_test_response` runs with
+//!   a *fixed* protocol seed, so a given (possibly faulted) chain always
+//!   produces the same figure. A fault-matrix campaign re-derives the
+//!   same faulted-chain response on every one of its ~150 sessions. (The
+//!   commissioning noise reference depends only on the fault-free chain,
+//!   so each `Platform` keeps that one itself.)
 //! * **LOD predictions** — `predict_lod(target, point)` is a pure function
 //!   of its arguments; exploration calls it once per `(target, point)`
 //!   pair, and repeated exploration (parameter sweeps, benches) repeats
@@ -16,7 +16,7 @@
 //!
 //! Both caches key on the *content* of the inputs — the chain's
 //! [`content_hash`](bios_afe::ReadoutChain::content_hash) plus the exact
-//! bit patterns of `dt`/`window`/`seed` for traces, and the full
+//! bit patterns of `dt`/`window`/`seed` for self-tests, and the full
 //! `(Analyte, DesignPoint)` value for LODs — so a hit can only ever return
 //! the value the miss path would have computed. Only successful results
 //! are cached; errors always re-run. Caches are process-global,
@@ -39,17 +39,9 @@ use crate::explore::DesignPoint;
 /// pathological key churn).
 const CACHE_CAP: usize = 4096;
 
-/// Which calibration trace a cached figure belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum TraceKind {
-    BaselineNoise,
-    SelfTest,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct TraceKey {
     chain: u64,
-    kind: TraceKind,
     dt_bits: u64,
     window_bits: u64,
     seed: u64,
@@ -68,16 +60,17 @@ fn lod_cache() -> &'static Mutex<BTreeMap<(Analyte, DesignPoint), f64>> {
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
-fn memoized_trace(
+/// Memoized [`ReadoutChain::self_test_response`]. Bit-identical to the
+/// direct call: the trace is deterministic in `(chain, dt, window, seed)`
+/// and the cache key captures all four exactly.
+pub(crate) fn self_test_response(
     chain: &ReadoutChain,
-    kind: TraceKind,
     dt: Seconds,
     window: Seconds,
     seed: u64,
 ) -> Result<Amps, AfeError> {
     let key = TraceKey {
         chain: chain.content_hash(),
-        kind,
         dt_bits: dt.value().to_bits(),
         window_bits: window.value().to_bits(),
         seed,
@@ -89,10 +82,7 @@ fn memoized_trace(
         }
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
-    let value = match kind {
-        TraceKind::BaselineNoise => chain.baseline_noise_reference(dt, window, seed)?,
-        TraceKind::SelfTest => chain.self_test_response(dt, window, seed)?,
-    };
+    let value = chain.self_test_response(dt, window, seed)?;
     if let Ok(mut cache) = trace_cache().lock() {
         if cache.len() >= CACHE_CAP {
             cache.clear();
@@ -100,28 +90,6 @@ fn memoized_trace(
         cache.insert(key, value.value());
     }
     Ok(value)
-}
-
-/// Memoized [`ReadoutChain::baseline_noise_reference`]. Bit-identical to
-/// the direct call: the trace is deterministic in `(chain, dt, window,
-/// seed)` and the cache key captures all four exactly.
-pub(crate) fn baseline_noise_reference(
-    chain: &ReadoutChain,
-    dt: Seconds,
-    window: Seconds,
-    seed: u64,
-) -> Result<Amps, AfeError> {
-    memoized_trace(chain, TraceKind::BaselineNoise, dt, window, seed)
-}
-
-/// Memoized [`ReadoutChain::self_test_response`].
-pub(crate) fn self_test_response(
-    chain: &ReadoutChain,
-    dt: Seconds,
-    window: Seconds,
-    seed: u64,
-) -> Result<Amps, AfeError> {
-    memoized_trace(chain, TraceKind::SelfTest, dt, window, seed)
 }
 
 /// Memoized wrapper used by [`crate::explore::predict_lod`]. `compute`
@@ -149,7 +117,7 @@ pub(crate) fn predict_lod_cached<E>(
     Ok(value)
 }
 
-/// Empties both memo caches (calibration traces and LOD predictions) and
+/// Empties both memo caches (self-test traces and LOD predictions) and
 /// zeroes the hit/miss counters. Benchmarks call this between runs so
 /// cold-path timings stay honest.
 pub fn clear_memo_caches() {
@@ -184,9 +152,9 @@ mod tests {
         let c = chain();
         let dt = Seconds::new(0.1);
         let window = Seconds::new(2.0);
-        let direct = c.baseline_noise_reference(dt, window, 7).expect("direct");
-        let first = baseline_noise_reference(&c, dt, window, 7).expect("miss path");
-        let second = baseline_noise_reference(&c, dt, window, 7).expect("hit path");
+        let direct = c.self_test_response(dt, window, 7).expect("direct");
+        let first = self_test_response(&c, dt, window, 7).expect("miss path");
+        let second = self_test_response(&c, dt, window, 7).expect("hit path");
         assert_eq!(direct.value().to_bits(), first.value().to_bits());
         assert_eq!(direct.value().to_bits(), second.value().to_bits());
         let (hits, misses) = memo_stats();
@@ -199,14 +167,15 @@ mod tests {
         let c = chain();
         let dt = Seconds::new(0.1);
         let window = Seconds::new(2.0);
-        // Different seeds, trace kinds and windows are distinct cache
-        // keys: each first call is a miss, never a (wrong) hit.
-        let a = baseline_noise_reference(&c, dt, window, 1).expect("seed 1");
-        let _ = baseline_noise_reference(&c, dt, window, 2).expect("seed 2");
-        let _ = self_test_response(&c, dt, window, 1).expect("self test");
-        let _ = baseline_noise_reference(&c, dt, Seconds::new(4.0), 1).expect("window");
+        // Different seeds, windows and chains are distinct cache keys:
+        // each first call is a miss, never a (wrong) hit.
+        let a = self_test_response(&c, dt, window, 1).expect("seed 1");
+        let _ = self_test_response(&c, dt, window, 2).expect("seed 2");
+        let _ = self_test_response(&c, dt, Seconds::new(4.0), 1).expect("window");
+        let chopped = ReadoutChain::new(c.config().with_chopper());
+        let _ = self_test_response(&chopped, dt, window, 1).expect("chain");
         assert_eq!(memo_stats(), (0, 4), "four distinct keys, four misses");
-        let a_again = baseline_noise_reference(&c, dt, window, 1).expect("seed 1 again");
+        let a_again = self_test_response(&c, dt, window, 1).expect("seed 1 again");
         assert_eq!(a.value().to_bits(), a_again.value().to_bits());
         assert_eq!(memo_stats(), (1, 4), "repeat is a hit");
     }
@@ -217,11 +186,11 @@ mod tests {
         let c = chain();
         let dt = Seconds::new(0.1);
         let window = Seconds::new(2.0);
-        let _ = baseline_noise_reference(&c, dt, window, 3);
-        let _ = baseline_noise_reference(&c, dt, window, 3);
+        let _ = self_test_response(&c, dt, window, 3);
+        let _ = self_test_response(&c, dt, window, 3);
         clear_memo_caches();
         assert_eq!(memo_stats(), (0, 0));
-        let _ = baseline_noise_reference(&c, dt, window, 3);
+        let _ = self_test_response(&c, dt, window, 3);
         assert_eq!(memo_stats(), (0, 1), "recompute after clear is a miss");
     }
 }

@@ -14,10 +14,11 @@ use bios_biochem::Interferent;
 use bios_biochem::{Analyte, CypSensor, MichaelisMenten, OxidaseSensor, Probe, Technique};
 use bios_electrochem::{Electrode, PotentialProgram};
 use bios_instrument::{
-    calibrate_chrono, calibrate_cv, run_chrono_with_interferents, run_cv, ChronoProtocol,
-    CvProtocol, PerformanceReport, QcClass, QcVerdict,
+    calibrate_chrono, calibrate_cv, ChronoPlan, ChronoProtocol, CvPlan, CvProtocol,
+    InstrumentError, PerformanceReport, QcClass, QcVerdict,
 };
 use bios_units::{Amps, Molar, Seconds};
+use std::sync::OnceLock;
 
 /// Fixed seed of the commissioning dry run the QC gate's quiet-channel
 /// check references — a stored calibration record, not per-session noise.
@@ -209,6 +210,15 @@ impl SessionReport {
     }
 }
 
+/// The fixed half of one assignment's acquisitions: everything its
+/// sensor, electrode, base chain and protocol determine. Faulted twins of
+/// the base chain share it, since faults never touch the trajectory.
+#[derive(Debug, Clone)]
+enum AcquisitionPlan {
+    Chrono(ChronoPlan),
+    Cv(CvPlan),
+}
+
 /// A fully assembled multi-target biosensing platform.
 ///
 /// Built by [`PlatformBuilder`](crate::PlatformBuilder); see there for an
@@ -216,6 +226,11 @@ impl SessionReport {
 #[derive(Debug, Clone)]
 pub struct Platform {
     assignments: Vec<WeAssignment>,
+    /// Per assignment, its acquisition plan: built on the first
+    /// acquisition, so building a platform costs nothing extra.
+    plans: Vec<OnceLock<Result<AcquisitionPlan, InstrumentError>>>,
+    /// The chrono chain's commissioning self-noise, taken on first use.
+    chrono_reference_noise: OnceLock<Option<Amps>>,
     structure: SensorStructure,
     mux: AnalogMux,
     chrono_chain: ReadoutChain,
@@ -242,6 +257,8 @@ impl Platform {
         cds: bool,
     ) -> Self {
         Self {
+            plans: assignments.iter().map(|_| OnceLock::new()).collect(),
+            chrono_reference_noise: OnceLock::new(),
             assignments,
             structure,
             mux,
@@ -623,25 +640,51 @@ impl Platform {
 
     /// The `Settle` step's stored calibration record: the QC gate
     /// compares live baselines against the chain's commissioning
-    /// self-noise — always taken from the fault-free base chain.
-    // advdiag::cold(memoized commissioning-time noise reference: the trace is
-    // simulated once per electrode and served from the memo cache thereafter)
+    /// self-noise — always taken from the fault-free base chain. It
+    /// depends on nothing but that chain and fixed constants, so it is
+    /// simulated once per platform.
+    // advdiag::cold(commissioning-time noise reference: the trace is simulated
+    // once per platform and read back thereafter)
     pub(crate) fn reference_noise_for(&self, assignment: &WeAssignment) -> Option<Amps> {
         match &assignment.sensor {
-            SensorModel::Oxidase(_) => memo::baseline_noise_reference(
-                self.base_chain(assignment),
-                self.chrono_protocol.dt,
-                self.chrono_protocol.settle,
-                NOISE_REFERENCE_SEED,
-            )
-            .ok(),
+            SensorModel::Oxidase(_) => *self.chrono_reference_noise.get_or_init(|| {
+                self.chrono_chain
+                    .baseline_noise_reference(
+                        self.chrono_protocol.dt,
+                        self.chrono_protocol.settle,
+                        NOISE_REFERENCE_SEED,
+                    )
+                    .ok()
+            }),
             SensorModel::Cytochrome(_) => None,
         }
     }
 
-    /// One acquisition on one assignment: runs the protocol against the
-    /// (possibly faulted) chain and screens the measurement through the
-    /// session's QC gate.
+    /// `assignment`'s acquisition plan, built on first use against its
+    /// fault-free base chain.
+    fn plan_for(&self, assignment: &WeAssignment) -> Result<&AcquisitionPlan, PlatformError> {
+        self.plans[assignment.index]
+            .get_or_init(|| {
+                let chain = self.base_chain(assignment);
+                let electrode = &assignment.electrode;
+                match &assignment.sensor {
+                    SensorModel::Oxidase(sensor) => {
+                        ChronoPlan::new(sensor, electrode, chain, &self.chrono_protocol)
+                            .map(AcquisitionPlan::Chrono)
+                    }
+                    SensorModel::Cytochrome(sensor) => {
+                        CvPlan::new(sensor, electrode, chain, &self.cv_protocol)
+                            .map(AcquisitionPlan::Cv)
+                    }
+                }
+            })
+            .as_ref()
+            .map_err(|e| PlatformError::from(e.clone()))
+    }
+
+    /// One acquisition on one assignment: runs the assignment's plan
+    /// through the (possibly faulted) chain and screens the measurement
+    /// through the session's QC gate.
     #[allow(clippy::too_many_arguments)]
     // advdiag::cold(whole-acquisition entry: one call simulates a full experiment;
     // everything below runs at per-acquisition cadence by contract)
@@ -656,19 +699,13 @@ impl Platform {
         seed: u64,
     ) -> Result<(Vec<TargetReading>, QcVerdict), PlatformError> {
         let full_scale = chain.config().full_scale_current();
-        match &assignment.sensor {
-            SensorModel::Oxidase(sensor) => {
+        let plan = self.plan_for(assignment)?;
+        match plan {
+            AcquisitionPlan::Chrono(plan) => {
+                let sensor = plan.sensor();
                 let analyte = assignment.targets[0];
                 let c = concentration_of(sample, analyte);
-                let m = run_chrono_with_interferents(
-                    sensor,
-                    &assignment.electrode,
-                    chain,
-                    c,
-                    interferents,
-                    &self.chrono_protocol,
-                    seed,
-                )?;
+                let m = plan.run(chain, c, interferents, seed)?;
                 let verdict = options
                     .qc
                     .check_chrono_referenced(&m, full_scale, reference_noise);
@@ -692,20 +729,14 @@ impl Platform {
                     verdict,
                 ))
             }
-            SensorModel::Cytochrome(sensor) => {
+            AcquisitionPlan::Cv(plan) => {
+                let sensor = plan.sensor();
                 let concs: Vec<(Analyte, Molar)> = assignment
                     .targets
                     .iter()
                     .map(|a| (*a, concentration_of(sample, *a)))
                     .collect();
-                let m = run_cv(
-                    sensor,
-                    &assignment.electrode,
-                    chain,
-                    &concs,
-                    &self.cv_protocol,
-                    seed,
-                )?;
+                let m = plan.run(chain, &concs, seed)?;
                 let verdict = options.qc.check_cv(&m, full_scale);
                 let area = assignment.electrode.geometric_area().value();
                 let mut readings = Vec::with_capacity(assignment.targets.len());

@@ -3,10 +3,10 @@
 
 use crate::calibration::{analyze_calibration, CalibrationOutcome, CalibrationPoint};
 use crate::error::InstrumentError;
-use bios_afe::ReadoutChain;
+use bios_afe::{ReadoutChain, Trajectory};
 use bios_biochem::{Interferent, OxidaseSensor};
 use bios_electrochem::{Electrode, PotentialProgram, Transient};
-use bios_units::{Amps, Molar, Seconds};
+use bios_units::{Amps, Molar, Seconds, SquareCentimeters};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -148,76 +148,163 @@ pub fn run_chrono_with_interferents(
     protocol: &ChronoProtocol,
     seed: u64,
 ) -> Result<ChronoMeasurement, InstrumentError> {
-    protocol.validate()?;
-    let area = electrode.geometric_area();
-    let program = PotentialProgram::Hold {
-        potential: sensor.applied_potential(),
-        duration: Seconds::new(protocol.settle.value() + protocol.measure.value()),
-    };
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xb10_5eed);
-    let blank_sd_current = sensor.blank_sd().value() * area.value();
-    // Injection-to-injection response variability (matrix effects, membrane
-    // state): this is the σ_b behind the paper's eq. 5, so it must appear
-    // in the ΔI statistic — it switches on *with* the injection. A constant
-    // electrode offset would cancel in ΔI and belongs to the AFE drift.
-    let response_offset = gaussian(&mut rng) * blank_sd_current;
-    let within_sd = blank_sd_current / 5.0;
-    let injection = protocol.settle;
-    let interferents_active = interferents.to_vec();
-    let interferents_blank = interferents.to_vec();
-    let interference = move |list: &[(Interferent, Molar)], e, since: Seconds| -> f64 {
-        if since.value() <= 0.0 {
-            return 0.0;
-        }
-        list.iter()
-            .map(|(i, c)| i.current_density(e, *c).value() * area.value())
-            .sum()
-    };
-    let interference_blank = interference;
-    let samples = chain.acquire(
-        &program,
-        protocol.dt,
+    ChronoPlan::new(sensor, electrode, chain, protocol)?.run(
+        chain,
+        concentration,
+        interferents,
         seed,
-        move |t, e| {
-            let since = Seconds::new(t.value() - injection.value());
-            let j = sensor.transient_current_density(Molar::ZERO, concentration, since);
-            // The response perturbation develops with the membrane-shaped
-            // response itself (a step here would fake an instantaneous
-            // dI/dt spike at the injection).
-            let offset = response_offset * sensor.membrane().step_response(since);
-            Amps::new(
-                j.value() * area.value()
-                    + offset
-                    + interference(&interferents_active, e, since)
-                    + gaussian(&mut rng) * within_sd,
-            )
-        },
-        move |t, e| {
-            let since = Seconds::new(t.value() - injection.value());
-            Amps::new(interference_blank(&interferents_blank, e, since))
-        },
-    )?;
-    let transient: Transient = samples.iter().map(|s| (s.t, s.current)).collect();
-    Ok(analyze_transient(transient, injection))
+    )
+}
+
+/// Everything a chronoamperometric acquisition fixes before the seed, the
+/// concentration and the interferents: the chain's trajectory over the
+/// protocol's hold and the membrane's step response at every sample.
+///
+/// A plan serves the chain it was built on and every faulted twin of that
+/// chain (same [`ChainConfig`](bios_afe::ChainConfig)); each
+/// [`run`](Self::run) is bit-identical to
+/// [`run_chrono_with_interferents`] with the same arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChronoPlan {
+    sensor: OxidaseSensor,
+    area: SquareCentimeters,
+    injection: Seconds,
+    trajectory: Trajectory,
+    /// The membrane step response at each sample's time since injection.
+    step_response: Vec<f64>,
+}
+
+impl ChronoPlan {
+    /// Plans `protocol` on `sensor` behind `electrode`, read through
+    /// `chain`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InstrumentError`] for invalid protocol timing or AFE
+    /// rejects of the hold program.
+    pub fn new(
+        sensor: &OxidaseSensor,
+        electrode: &Electrode,
+        chain: &ReadoutChain,
+        protocol: &ChronoProtocol,
+    ) -> Result<Self, InstrumentError> {
+        protocol.validate()?;
+        let program = PotentialProgram::Hold {
+            potential: sensor.applied_potential(),
+            duration: Seconds::new(protocol.settle.value() + protocol.measure.value()),
+        };
+        let trajectory = chain.trajectory(&program, protocol.dt)?;
+        let injection = protocol.settle;
+        let step_response = trajectory
+            .points()
+            .iter()
+            .map(|p| {
+                let since = Seconds::new(p.t.value() - injection.value());
+                sensor.membrane().step_response(since)
+            })
+            .collect();
+        Ok(Self {
+            sensor: sensor.clone(),
+            area: electrode.geometric_area(),
+            injection,
+            trajectory,
+            step_response,
+        })
+    }
+
+    /// The sensor the plan measures.
+    pub fn sensor(&self) -> &OxidaseSensor {
+        &self.sensor
+    }
+
+    /// Runs the planned measurement of `concentration` with
+    /// `interferents` through `chain` (the planned chain or a faulted
+    /// twin).
+    ///
+    /// Sensor-side blank noise is modeled per the registry: a per-run
+    /// offset drawn from `N(0, σ_blank·A)` (run-to-run electrode
+    /// variability — the quantity behind the paper's `σ_b`) plus smaller
+    /// within-run fluctuation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InstrumentError`] if `chain`'s configuration differs
+    /// from the planned one.
+    pub fn run(
+        &self,
+        chain: &ReadoutChain,
+        concentration: Molar,
+        interferents: &[(Interferent, Molar)],
+        seed: u64,
+    ) -> Result<ChronoMeasurement, InstrumentError> {
+        let area = self.area;
+        let sensor = &self.sensor;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xb10_5eed);
+        let blank_sd_current = sensor.blank_sd().value() * area.value();
+        // Injection-to-injection response variability (matrix effects,
+        // membrane state): this is the σ_b behind the paper's eq. 5, so it
+        // must appear in the ΔI statistic — it switches on *with* the
+        // injection. A constant electrode offset would cancel in ΔI and
+        // belongs to the AFE drift.
+        let response_offset = gaussian(&mut rng) * blank_sd_current;
+        let within_sd = blank_sd_current / 5.0;
+        let injection = self.injection;
+        // Interferents arrive with the injection, on both electrodes.
+        let interference = |e, t: Seconds| -> f64 {
+            if t.value() - injection.value() <= 0.0 {
+                return 0.0;
+            }
+            interferents
+                .iter()
+                .map(|(i, c)| i.current_density(e, *c).value() * area.value())
+                .sum()
+        };
+        let samples = chain.stream(
+            &self.trajectory,
+            seed,
+            |k, p| {
+                let f = self.step_response[k];
+                let j = sensor.step_current_density(Molar::ZERO, concentration, f);
+                // The response perturbation develops with the
+                // membrane-shaped response itself (a step here would fake
+                // an instantaneous dI/dt spike at the injection).
+                let offset = response_offset * f;
+                Amps::new(
+                    j.value() * area.value()
+                        + offset
+                        + interference(p.applied, p.t)
+                        + gaussian(&mut rng) * within_sd,
+                )
+            },
+            |_, p| Amps::new(interference(p.applied, p.t)),
+        )?;
+        let transient: Transient = samples.iter().map(|s| (s.t, s.current)).collect();
+        Ok(analyze_transient(transient, injection))
+    }
 }
 
 /// Extracts the §II-B response metrics from a recorded transient with a
 /// known injection time.
 pub fn analyze_transient(transient: Transient, injection: Seconds) -> ChronoMeasurement {
-    // Baseline: mean over the second half of the settle window.
-    let pre: Vec<f64> = transient
+    // Baseline: mean over the second half of the settle window, summed in
+    // one pass in time order.
+    let mut n_pre = 0usize;
+    let pre_sum: f64 = transient
         .iter()
         .filter(|(t, _)| t.value() > injection.value() * 0.5 && t.value() < injection.value())
-        .map(|(_, i)| i.value())
-        .collect();
-    let baseline = Amps::new(if pre.is_empty() {
+        .map(|(_, i)| {
+            n_pre += 1;
+            i.value()
+        })
+        .sum();
+    let baseline = Amps::new(if n_pre == 0 {
         transient
             .current()
             .first()
             .map(|i| i.value())
             .unwrap_or(0.0)
     } else {
-        pre.iter().sum::<f64>() / pre.len() as f64
+        pre_sum / n_pre as f64
     });
     let steady_state = transient.tail_mean(0.1).unwrap_or(baseline);
     let delta = steady_state - baseline;

@@ -5,10 +5,10 @@ use crate::calibration::{analyze_calibration, CalibrationOutcome, CalibrationPoi
 use crate::error::InstrumentError;
 use crate::peaks::{cathodic_segment, detect_cathodic_peaks, Peak, PeakOptions};
 use crate::signature::{match_signature, ExpectedPeak, SignatureMatch, DEFAULT_WINDOW};
-use bios_afe::ReadoutChain;
-use bios_biochem::{Analyte, CypSensor};
+use bios_afe::{ReadoutChain, Trajectory};
+use bios_biochem::{catalytic_line_shape, Analyte, CypSensor};
 use bios_electrochem::{Electrode, PotentialProgram, Voltammogram};
-use bios_units::{Amps, Molar, Seconds, Volts, VoltsPerSecond, T_ROOM};
+use bios_units::{Amps, Molar, Seconds, SquareCentimeters, Volts, VoltsPerSecond, T_ROOM};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -112,78 +112,210 @@ pub fn run_cv(
     protocol: &CvProtocol,
     seed: u64,
 ) -> Result<CvMeasurement, InstrumentError> {
-    protocol.validate()?;
-    let area = electrode.geometric_area();
-    let (start, vertex) = sensor.recommended_window();
-    let program = PotentialProgram::cyclic_single(start, vertex, protocol.scan_rate);
-    let half = program.duration().value() / 2.0;
+    CvPlan::new(sensor, electrode, chain, protocol)?.run(chain, concentrations, seed)
+}
 
-    // Per-run amplitude perturbations, one per substrate.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xcc_5eed);
-    let mut perturbations: Vec<(Analyte, Volts, f64)> = Vec::new();
-    for a in sensor.substrates() {
-        let sd = sensor
-            .blank_sd(a)
-            .ok_or_else(|| InstrumentError::invalid("substrate", format!("{a} not registered")))?
-            .value()
-            * area.value();
-        let e = sensor
-            .nominal_peak_potential(a)
-            .ok_or_else(|| InstrumentError::invalid("substrate", format!("{a} not registered")))?;
-        perturbations.push((a, e, gaussian(&mut rng) * sd));
-    }
-    let rate = protocol.scan_rate;
-    let samples = chain.acquire(
-        &program,
-        Seconds::new(program.suggested_dt().value().max(0.02)),
-        seed,
-        move |t, e| {
-            let direction_up = t.value() >= half;
-            let j = sensor.current_density(e, rate, direction_up, concentrations, T_ROOM);
-            let mut i = j.value() * area.value();
-            if !direction_up {
-                // Peak-amplitude noise: same line shape as the catalytic wave.
-                for (_, e_peak, n) in &perturbations {
-                    let xi = (2.0 * bios_units::FARADAY * (e.value() - e_peak.value())
-                        / (bios_units::GAS_CONSTANT * T_ROOM.value()))
-                    .clamp(-200.0, 200.0);
-                    let shape = 4.0 * xi.exp() / (1.0 + xi.exp()).powi(2);
-                    i -= n * shape;
-                }
+/// Everything a CV acquisition fixes before the seed and the
+/// concentrations: the chain's trajectory over the sensor's window and,
+/// per sample, the sweep direction, the signed heme baseline and every
+/// substrate's catalytic and perturbation line shapes at the applied
+/// potential.
+///
+/// A plan serves the chain it was built on and every faulted twin of that
+/// chain (same [`ChainConfig`](bios_afe::ChainConfig)); each
+/// [`run`](Self::run) is bit-identical to [`run_cv`] with the same
+/// arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CvPlan {
+    sensor: CypSensor,
+    area: SquareCentimeters,
+    min_peak_height: Amps,
+    trajectory: Trajectory,
+    /// Whether each sample lies on the anodic (return) sweep.
+    anodic: Vec<bool>,
+    /// Signed heme baseline density per sample, A/cm².
+    baseline: Vec<f64>,
+    /// Per cathodic sample and substrate (`k·n + s`): the catalytic line
+    /// shape at the scan-rate-shifted peak potential.
+    catalytic: Vec<f64>,
+    /// Per cathodic sample and substrate: the line shape of the
+    /// peak-amplitude noise, at the nominal peak potential.
+    perturbation: Vec<f64>,
+    /// Per substrate: the blank current SD `σ_blank·A` scaling its
+    /// peak-amplitude noise.
+    perturbation_sd: Vec<f64>,
+    /// The signature the peaks are matched against.
+    expected: Vec<ExpectedPeak>,
+}
+
+impl CvPlan {
+    /// Plans `protocol` on `sensor` behind `electrode`, read through
+    /// `chain`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InstrumentError`] for invalid protocols or AFE rejects of
+    /// the sweep.
+    pub fn new(
+        sensor: &CypSensor,
+        electrode: &Electrode,
+        chain: &ReadoutChain,
+        protocol: &CvProtocol,
+    ) -> Result<Self, InstrumentError> {
+        protocol.validate()?;
+        let area = electrode.geometric_area();
+        let (start, vertex) = sensor.recommended_window();
+        let program = PotentialProgram::cyclic_single(start, vertex, protocol.scan_rate);
+        let half = program.duration().value() / 2.0;
+        let rate = protocol.scan_rate;
+
+        let mut perturbation_sd = Vec::new();
+        let mut expected = Vec::new();
+        let mut catalytic_peaks = Vec::new();
+        let unregistered =
+            |a: Analyte| InstrumentError::invalid("substrate", format!("{a} not registered"));
+        for a in sensor.substrates() {
+            let sd = sensor.blank_sd(a).ok_or_else(|| unregistered(a))?;
+            let potential = sensor
+                .nominal_peak_potential(a)
+                .ok_or_else(|| unregistered(a))?;
+            let shifted = sensor
+                .peak_potential(a, rate, T_ROOM)
+                .ok_or_else(|| unregistered(a))?;
+            perturbation_sd.push(sd.value() * area.value());
+            expected.push(ExpectedPeak {
+                analyte: a,
+                potential,
+            });
+            catalytic_peaks.push(shifted);
+        }
+
+        let trajectory = chain.trajectory(
+            &program,
+            Seconds::new(program.suggested_dt().value().max(0.02)),
+        )?;
+        let n = trajectory.points().len();
+        let mut anodic = Vec::with_capacity(n);
+        let mut baseline = Vec::with_capacity(n);
+        let mut catalytic = Vec::with_capacity(n * expected.len());
+        let mut perturbation = Vec::with_capacity(n * expected.len());
+        for p in trajectory.points() {
+            let up = p.t.value() >= half;
+            anodic.push(up);
+            baseline.push(sensor.baseline_density(p.applied, rate, up, T_ROOM).value());
+            for (peak, shifted) in expected.iter().zip(&catalytic_peaks) {
+                let (c, n) = if up {
+                    (0.0, 0.0)
+                } else {
+                    (
+                        catalytic_line_shape(p.applied, *shifted, T_ROOM),
+                        catalytic_line_shape(p.applied, peak.potential, T_ROOM),
+                    )
+                };
+                catalytic.push(c);
+                perturbation.push(n);
             }
-            Amps::new(i)
-        },
-        |_t, _e| Amps::ZERO,
-    )?;
-
-    let voltammogram: Voltammogram = samples
-        .iter()
-        .map(|s| (s.t, s.applied, s.current))
-        .collect();
-    let segment = cathodic_segment(&voltammogram);
-    let peaks = detect_cathodic_peaks(
-        &segment,
-        PeakOptions {
-            min_height: protocol.min_peak_height,
-            smoothing: 2,
-        },
-    )?;
-    let mut expected: Vec<ExpectedPeak> = Vec::new();
-    for a in sensor.substrates() {
-        let potential = sensor
-            .nominal_peak_potential(a)
-            .ok_or_else(|| InstrumentError::invalid("substrate", format!("{a} not registered")))?;
-        expected.push(ExpectedPeak {
-            analyte: a,
-            potential,
-        });
+        }
+        Ok(Self {
+            sensor: sensor.clone(),
+            area,
+            min_peak_height: protocol.min_peak_height,
+            trajectory,
+            anodic,
+            baseline,
+            catalytic,
+            perturbation,
+            perturbation_sd,
+            expected,
+        })
     }
-    let matches = match_signature(&peaks, &expected, DEFAULT_WINDOW);
-    Ok(CvMeasurement {
-        voltammogram,
-        peaks,
-        matches,
-    })
+
+    /// The sensor the plan measures.
+    pub fn sensor(&self) -> &CypSensor {
+        &self.sensor
+    }
+
+    /// Runs the planned measurement of the drug panel `concentrations`
+    /// through `chain` (the planned chain or a faulted twin).
+    ///
+    /// Sensor-side blank noise is modeled per substrate: each catalytic
+    /// wave's amplitude is perturbed by a per-run draw from
+    /// `N(0, σ_blank·A)`, which is exactly the run-to-run peak-height
+    /// variability behind the Table III LODs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InstrumentError`] if `chain`'s configuration differs
+    /// from the planned one, or peak detection rejects the options.
+    pub fn run(
+        &self,
+        chain: &ReadoutChain,
+        concentrations: &[(Analyte, Molar)],
+        seed: u64,
+    ) -> Result<CvMeasurement, InstrumentError> {
+        // Per substrate, in order: the catalytic amplitude (`None` when
+        // absent) and the per-run amplitude perturbation.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xcc_5eed);
+        let waves: Vec<(Option<f64>, f64)> = self
+            .expected
+            .iter()
+            .zip(&self.perturbation_sd)
+            .map(|(peak, sd)| {
+                (
+                    self.sensor
+                        .catalytic_amplitude(peak.analyte, concentrations),
+                    gaussian(&mut rng) * sd,
+                )
+            })
+            .collect();
+        let n_waves = waves.len();
+        let area = self.area.value();
+        let samples = chain.stream(
+            &self.trajectory,
+            seed,
+            |k, _| {
+                let shapes = k * n_waves..(k + 1) * n_waves;
+                let mut j = self.baseline[k];
+                if !self.anodic[k] {
+                    for ((amplitude, _), shape) in waves.iter().zip(&self.catalytic[shapes.clone()])
+                    {
+                        if let Some(a) = amplitude {
+                            j -= a * shape;
+                        }
+                    }
+                }
+                let mut i = j * area;
+                if !self.anodic[k] {
+                    // Peak-amplitude noise: same line shape as the
+                    // catalytic wave.
+                    for ((_, n), shape) in waves.iter().zip(&self.perturbation[shapes]) {
+                        i -= n * shape;
+                    }
+                }
+                Amps::new(i)
+            },
+            |_, _| Amps::ZERO,
+        )?;
+
+        let voltammogram: Voltammogram = samples
+            .iter()
+            .map(|s| (s.t, s.applied, s.current))
+            .collect();
+        let segment = cathodic_segment(&voltammogram);
+        let peaks = detect_cathodic_peaks(
+            &segment,
+            PeakOptions {
+                min_height: self.min_peak_height,
+                smoothing: 2,
+            },
+        )?;
+        let matches = match_signature(&peaks, &self.expected, DEFAULT_WINDOW);
+        Ok(CvMeasurement {
+            voltammogram,
+            peaks,
+            matches,
+        })
+    }
 }
 
 /// Linear readout of the baseline-corrected cathodic current at an expected

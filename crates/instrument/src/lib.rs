@@ -39,9 +39,9 @@ pub use calibration::{
 };
 pub use chrono_protocol::{
     analyze_transient, calibrate_chrono, run_chrono, run_chrono_with_interferents,
-    ChronoMeasurement, ChronoProtocol,
+    ChronoMeasurement, ChronoPlan, ChronoProtocol,
 };
-pub use cv_protocol::{calibrate_cv, peak_readout, run_cv, CvMeasurement, CvProtocol};
+pub use cv_protocol::{calibrate_cv, peak_readout, run_cv, CvMeasurement, CvPlan, CvProtocol};
 pub use error::InstrumentError;
 pub use injection::{run_injection_series, InjectionSchedule, InjectionSeriesResult};
 pub use metrics::PerformanceReport;

@@ -65,11 +65,13 @@
 mod chaos;
 mod clock;
 mod error;
+mod latency;
 mod server;
 
 pub use chaos::{ChaosPlan, ServerFaultKind};
 pub use clock::{Clock, NullClock};
 pub use error::ServerError;
+pub use latency::LatencyHistogram;
 pub use server::{
     CompletedSession, DiagnosticsServer, ServerConfig, ServerStats, ServiceTier, SessionOutcome,
     SessionRequest, TickSummary,

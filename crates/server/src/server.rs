@@ -28,6 +28,7 @@
 use crate::chaos::ChaosPlan;
 use crate::clock::Clock;
 use crate::error::ServerError;
+use crate::latency::LatencyHistogram;
 use bios_biochem::Analyte;
 use bios_platform::{
     par_map_mut, ExecPolicy, Platform, SessionMachine, SessionOptions, SessionReport,
@@ -339,7 +340,9 @@ struct Shard {
     strikes: BTreeMap<u64, u32>,
     quarantined: BTreeSet<u64>,
     completed: Vec<CompletedSession>,
-    latencies_nanos: Vec<u64>,
+    /// Per-step latencies, in fixed-size buckets: bounded however long
+    /// the server runs.
+    latencies: LatencyHistogram,
     peak_queue: usize,
     scratch: StepScratch,
 }
@@ -352,7 +355,7 @@ impl Shard {
             strikes: BTreeMap::new(),
             quarantined: BTreeSet::new(),
             completed: Vec::new(),
-            latencies_nanos: Vec::new(),
+            latencies: LatencyHistogram::new(),
             peak_queue: 0,
             scratch: StepScratch::default(),
         }
@@ -512,8 +515,7 @@ impl Shard {
                     }
                     let t0 = clock.now_nanos();
                     let event = session.machine.step(platform);
-                    self.latencies_nanos
-                        .push(clock.now_nanos().saturating_sub(t0));
+                    self.latencies.record(clock.now_nanos().saturating_sub(t0));
                     tick.steps += 1;
                     budgets[idx] -= 1;
                     match event {
@@ -545,7 +547,7 @@ impl Shard {
             for ((idx, request), result) in lanes.iter().copied().zip(requests.iter()).zip(results)
             {
                 let session = &mut self.active[idx];
-                self.latencies_nanos.push(per_sample);
+                self.latencies.record(per_sample);
                 tick.steps += 1;
                 budgets[idx] -= 1;
                 if let Err(e) = session.machine.complete_sample(platform, request, result) {
@@ -848,15 +850,24 @@ impl<'p> DiagnosticsServer<'p> {
         out
     }
 
-    /// Drains the per-step latency samples (nanoseconds, shard order)
-    /// collected through the injected [`Clock`]. All zeros under
-    /// [`NullClock`](crate::NullClock).
-    pub fn drain_latencies(&mut self) -> Vec<u64> {
-        let mut out = Vec::new();
+    /// Drains the per-step latency histogram (nanoseconds, measured
+    /// through the injected [`Clock`]), merged across shards bucket by
+    /// bucket, so shard order cannot change it. Under
+    /// [`NullClock`](crate::NullClock) every step lands in the zero
+    /// bucket.
+    pub fn drain_latency_histogram(&mut self) -> LatencyHistogram {
+        let mut merged = LatencyHistogram::new();
         for shard in &mut self.shards {
-            out.append(&mut shard.latencies_nanos);
+            merged.merge(&shard.latencies.take());
         }
-        out
+        merged
+    }
+
+    /// [`drain_latency_histogram`](Self::drain_latency_histogram) as its
+    /// bucket counts ([`LatencyHistogram::counts`]): always
+    /// [`LatencyHistogram::BUCKETS`] entries, not one per step.
+    pub fn drain_latencies(&mut self) -> Vec<u64> {
+        self.drain_latency_histogram().counts().to_vec()
     }
 
     /// Devices currently fleet-quarantined, ascending.
