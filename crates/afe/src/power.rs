@@ -106,8 +106,17 @@ impl CostBudget {
     }
 
     /// Total silicon area in mm².
+    ///
+    /// An explicit loop from `-0.0`, the start and order `Iterator::sum`
+    /// uses: the name is shared with `PlatformCost::total_area_mm2`, which
+    /// the design-space cost kernel calls per point, so this body is
+    /// checked as hot code.
     pub fn total_area_mm2(&self) -> f64 {
-        self.blocks.iter().map(|b| b.area_mm2).sum()
+        let mut total = -0.0;
+        for b in &self.blocks {
+            total += b.area_mm2;
+        }
+        total
     }
 
     /// Renders a one-line-per-block report.

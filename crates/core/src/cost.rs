@@ -88,14 +88,35 @@ impl PlatformCost {
         chambers: usize,
         session_time: Seconds,
     ) -> Self {
+        Self::from_electronics(
+            budget.total_power(),
+            budget.total_area_mm2(),
+            we_area,
+            electrodes,
+            chambers,
+            session_time,
+        )
+    }
+
+    /// As [`Self::assemble`], from an electronics bill's totals: a caller
+    /// pricing many electrode geometries or session lengths over one bill
+    /// sums the bill once.
+    pub fn from_electronics(
+        power: Watts,
+        electronics_area_mm2: f64,
+        we_area: SquareCentimeters,
+        electrodes: usize,
+        chambers: usize,
+        session_time: Seconds,
+    ) -> Self {
         // Each electrode occupies ~3× its active area with routing and
         // passivation margins (the paper's 0.23 mm² WEs on a mm-pitch die);
         // each extra chamber costs ~2 mm² of fluidic packaging.
         let electrode_area_mm2 = we_area.as_square_millimeters() * 3.0 * electrodes as f64;
         let fluidics_area_mm2 = 2.0 * chambers.saturating_sub(1) as f64;
         Self {
-            power: budget.total_power(),
-            electronics_area_mm2: budget.total_area_mm2(),
+            power,
+            electronics_area_mm2,
             electrode_area_mm2,
             fluidics_area_mm2,
             electrodes,

@@ -9,6 +9,7 @@ use crate::model::evaluate_static;
 use crate::passes::{BitSet, PassManager, PassReport, RunCtx, SpaceState};
 use crate::shard::{partition, score_band, ScoredDesign};
 use crate::space::ExploreSpec;
+use crate::tables::ClassTables;
 
 /// Everything one exploration run produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,12 +67,11 @@ pub fn explore_with_manager(
 ) -> Result<ExploreOutcome, ExploreError> {
     spec.validate()?;
     let cx = PanelContext::for_spec(spec)?;
-    let sizes = spec.space.sizes();
-    let total_points = sizes.total();
+    let tables = ClassTables::build(spec, &cx)?;
+    let total_points = spec.space.len();
     let rcx = RunCtx {
         spec,
-        cx: &cx,
-        sizes,
+        tables: &tables,
     };
     let mut state = SpaceState {
         alive: BitSet::all_set(total_points),
@@ -82,7 +82,7 @@ pub fn explore_with_manager(
     }
     let surviving = state.alive.count();
     let shards = partition(spec, &state.alive)?;
-    let (band, replayed_shards) = score_band(spec, &cx, &shards, policy)?;
+    let (band, replayed_shards) = score_band(spec, &tables, &shards, policy)?;
     let statically_rejected = total_points - surviving;
     Ok(ExploreOutcome {
         total_points,
@@ -149,7 +149,8 @@ pub fn brute_force_band(spec: &ExploreSpec) -> Result<Vec<(u64, f64, f64)>, Expl
 mod tests {
     use super::*;
     use crate::space::ExploreSpace;
-    use bios_platform::PanelSpec;
+    use bios_biochem::Analyte;
+    use bios_platform::{PanelSpec, TargetSpec};
 
     fn small_spec() -> ExploreSpec {
         let mut spec = ExploreSpec::standard(PanelSpec::paper_fig4());
@@ -169,7 +170,6 @@ mod tests {
     #[test]
     fn pipeline_matches_brute_force_on_a_small_space() {
         let spec = small_spec();
-        crate::shard::clear_explore_cache();
         let outcome = explore(&spec, ExecPolicy::Sequential).expect("pipeline");
         let oracle = brute_force_band(&spec).expect("oracle");
         let got: Vec<(u64, u64, u64)> = outcome
@@ -196,12 +196,21 @@ mod tests {
 
     #[test]
     fn rerun_is_bit_identical_and_replays_shards() {
-        let spec = small_spec();
-        crate::shard::clear_explore_cache();
+        // The shard cache is process-global and tests run in parallel, so
+        // no test clears it; a cold run instead needs shard keys no other
+        // test can insert, i.e. a panel no other test explores.
+        let spec = ExploreSpec {
+            panel: [Analyte::Glutamate, Analyte::Cholesterol]
+                .into_iter()
+                .map(TargetSpec::typical)
+                .collect(),
+            ..small_spec()
+        };
         let cold = explore(&spec, ExecPolicy::Sequential).expect("cold");
         let warm = explore(&spec, ExecPolicy::Sequential).expect("warm");
         assert_eq!(cold.frontier_digest, warm.frontier_digest);
         assert_eq!(cold.band, warm.band);
+        assert!(cold.shard_count > 0);
         assert_eq!(warm.replayed_shards, warm.shard_count);
         assert_eq!(cold.replayed_shards, 0);
     }

@@ -7,6 +7,9 @@
 //!
 //! * [`ExploreSpace`] — a lazily-enumerated cartesian product: eight axis
 //!   value lists plus mixed-radix rank decoding, never materialized;
+//! * [`ClassTables`] — every closed-form model evaluated once per class
+//!   of the axes it reads, in one build per query that all passes and
+//!   the band scoring share;
 //! * [`PassManager`] — typed pruning passes ([`PassId`]) that **prove**
 //!   point classes infeasible ([`RejectReason`]) or dominated from
 //!   closed-form calibration models, order-independently;
@@ -53,6 +56,7 @@ mod model;
 mod passes;
 mod shard;
 mod space;
+mod tables;
 
 pub use context::{PanelContext, Skeleton};
 pub use error::ExploreError;
@@ -66,3 +70,4 @@ pub use model::{
 pub use passes::{PassId, PassManager, PassReport, RejectBucket};
 pub use shard::{clear_explore_cache, explore_cache_stats, ScoredDesign, Shard};
 pub use space::{ExplorePoint, ExploreSpace, ExploreSpec};
+pub use tables::{ClassEntry, ClassTables};

@@ -33,10 +33,10 @@
 use bios_biochem::tables::performance_of;
 use bios_biochem::Analyte;
 use bios_platform::{
-    effective_sensitivity, electronics_budget, noise_breakdown, required_lod, NoiseBreakdown,
-    PanelSpec, PlatformCost,
+    effective_sensitivity, electronics_budget, noise_breakdown, required_lod, DesignPoint,
+    NoiseBreakdown, PanelSpec, PlatformCost,
 };
-use bios_units::{Seconds, SquareCentimeters};
+use bios_units::{Seconds, SquareCentimeters, Watts};
 
 use crate::context::Skeleton;
 use crate::error::ExploreError;
@@ -56,10 +56,18 @@ const DERIVED_DR_CAP: f64 = 32768.0;
 /// Composes the core [`noise_breakdown`] with the oversampling and
 /// area-scale attenuations documented on the module. Bit-identical to
 /// [`bios_platform::predict_lod`] at `M = 1`, `a = 1`.
-// advdiag::hot — per-class surrogate; runs ~10⁵ times per pass sweep
 pub fn surrogate_lod(target: Analyte, point: &ExplorePoint) -> Result<f64, ExploreError> {
     let nb: NoiseBreakdown = noise_breakdown(target, &point.base)?;
     let s_eff = effective_sensitivity(target, point.base.nanostructure)?;
+    Ok(scaled_lod(&nb, s_eff, point))
+}
+
+/// The surrogate's rescaling of a target's noise budget to a point's
+/// oversampling and area: the part of [`surrogate_lod`] that varies
+/// within a `(nanostructure, chopper, cds, adc_bits)` class, so the class
+/// tables compute `nb` and `s_eff` once and call only this per point.
+// advdiag::hot — per-(oversampling, area) kernel of the margin table
+pub(crate) fn scaled_lod(nb: &NoiseBreakdown, s_eff: f64, point: &ExplorePoint) -> f64 {
     let a = point.area_scale();
     let sqrt_a = a.sqrt();
     let sqrt_m = f64::from(point.oversampling).sqrt();
@@ -69,12 +77,11 @@ pub fn surrogate_lod(target: Analyte, point: &ExplorePoint) -> Result<f64, Explo
     let quantization = nb.quantization / (a * sqrt_m);
     let total =
         (drift.powi(2) + stochastic.powi(2) + amp_flicker.powi(2) + quantization.powi(2)).sqrt();
-    Ok(3.0 * total / s_eff)
+    3.0 * total / s_eff
 }
 
 /// Worst-case LOD margin over the panel: `min(required / predicted)`.
 /// `≥ 1` means every target's requirement is met.
-// advdiag::hot — per-class surrogate; runs ~10⁴–10⁵ times per pass sweep
 pub fn worst_margin(panel: &PanelSpec, point: &ExplorePoint) -> Result<f64, ExploreError> {
     let mut worst = f64::INFINITY;
     for spec in panel.targets() {
@@ -142,21 +149,60 @@ pub fn session_time_s(skeleton: &Skeleton, oversampling: u16) -> f64 {
 /// the area-scaled electrode estate and the oversampled session time,
 /// collapsed through [`PlatformCost::scalar`].
 pub fn cost_scalar(skeleton: &Skeleton, point: &ExplorePoint) -> f64 {
-    let budget = electronics_budget(
-        skeleton.n_we,
-        point.base.sharing,
-        point.base.adc_bits,
-        point.base.chopper,
-        point.base.cds,
-    );
-    let cost = PlatformCost::assemble(
-        &budget,
-        SquareCentimeters::new(skeleton.we_area_cm2 * point.area_scale()),
-        skeleton.total_electrodes,
-        skeleton.chambers,
-        Seconds::new(session_time_s(skeleton, point.oversampling)),
-    );
-    cost.scalar()
+    Bill::of(*skeleton, &point.base).priced(point.oversampling, point.area_scale())
+}
+
+/// Everything [`cost_scalar`] reads except oversampling and area: the
+/// point's skeleton and the totals of its electronics bill. It depends
+/// only on `(sharing, chopper, cds, adc_bits, preference)`, so the class
+/// tables build and sum one bill per such class.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bill {
+    skeleton: Skeleton,
+    power: Watts,
+    area_mm2: f64,
+}
+
+impl Bill {
+    /// Builds and sums the core electronics bill for `base` on `skeleton`.
+    pub(crate) fn of(skeleton: Skeleton, base: &DesignPoint) -> Self {
+        let budget = electronics_budget(
+            skeleton.n_we,
+            base.sharing,
+            base.adc_bits,
+            base.chopper,
+            base.cds,
+        );
+        Self {
+            skeleton,
+            power: budget.total_power(),
+            area_mm2: budget.total_area_mm2(),
+        }
+    }
+
+    /// Whether pricing can only yield finite costs: every input it reads
+    /// is finite (oversampling and area are bounded integers).
+    pub(crate) fn is_finite(&self) -> bool {
+        self.power.value().is_finite()
+            && self.area_mm2.is_finite()
+            && self.skeleton.we_area_cm2.is_finite()
+            && self.skeleton.schedule_s.is_finite()
+    }
+
+    /// The scalar cost at one oversampling factor and area scale.
+    // advdiag::hot — per-point pricing kernel of the dominance sweep
+    pub(crate) fn priced(&self, oversampling: u16, area_scale: f64) -> f64 {
+        let sk = &self.skeleton;
+        PlatformCost::from_electronics(
+            self.power,
+            self.area_mm2,
+            SquareCentimeters::new(sk.we_area_cm2 * area_scale),
+            sk.total_electrodes,
+            sk.chambers,
+            Seconds::new(session_time_s(sk, oversampling)),
+        )
+        .scalar()
+    }
 }
 
 /// Why a point is statically excluded from simulation.

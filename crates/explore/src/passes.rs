@@ -5,16 +5,17 @@
 //! in. Three design rules make the pipeline auditable and order-independent:
 //!
 //! 1. **Passes are pure space-level predicates.** A pass computes its
-//!    verdicts from the [`ExploreSpec`] and the closed-form models only —
-//!    never from which points earlier passes already killed. Marking a
+//!    verdicts from the [`ExploreSpec`]'s [`ClassTables`] only — never
+//!    from which points earlier passes already killed. Marking a
 //!    dead point dead again is a no-op, so the surviving set is the
 //!    intersection of per-pass survivor sets and is invariant under any
 //!    permutation of the pass order (a proptest pins this).
 //! 2. **Verdicts are per class, not per point.** Each pass projects the
-//!    space onto the axes its model actually reads, evaluates one
-//!    representative per projected class, and extends the verdict over the
-//!    class's whole fiber. That is why a ≥10⁶-point space needs ~10⁴–10⁵
-//!    closed-form evaluations, not 10⁶ simulations.
+//!    space onto the axes its model actually reads, reads one table entry
+//!    per projected class, and extends the verdict over the class's whole
+//!    fiber. The tables are built once per query and shared by all
+//!    passes, so a ≥10⁶-point space needs ~10⁴–10⁵ closed-form
+//!    evaluations, not 10⁶ simulations.
 //! 3. **Every refutation carries a [`RejectReason`].** Reports bucket
 //!    rejections by reason with class and point counts, so a run reads
 //!    like a lint report: what was proven, about how much, from how few
@@ -23,14 +24,11 @@
 use std::collections::BTreeMap;
 
 use bios_biochem::Analyte;
-use bios_platform::required_lod;
 
-use crate::context::PanelContext;
 use crate::error::ExploreError;
-use crate::model::{
-    afe_incompatibility, cost_scalar, session_time_s, surrogate_lod, worst_margin, RejectReason,
-};
-use crate::space::{AxisSizes, ExplorePoint, ExploreSpec};
+use crate::model::RejectReason;
+use crate::space::{AxisIndex, AxisSizes, ExploreSpec};
+use crate::tables::ClassTables;
 
 /// A fixed-size bitmap over ranks; bit set = point still alive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,7 +140,9 @@ pub struct PassReport {
     pub points_in: u64,
     /// Alive points after the pass, in this run order.
     pub points_out: u64,
-    /// Closed-form class evaluations the pass actually performed.
+    /// Closed-form classes the pass's verdict reads. The class tables
+    /// every pass shares are built once per query, so this counts what a
+    /// verdict rests on, not work the pass itself performed.
     pub classes_evaluated: u64,
     /// Refutations, bucketed by reason.
     pub rejects: Vec<RejectBucket>,
@@ -151,163 +151,7 @@ pub struct PassReport {
 /// Everything a pass needs, borrowed once per run.
 pub(crate) struct RunCtx<'a> {
     pub(crate) spec: &'a ExploreSpec,
-    pub(crate) cx: &'a PanelContext,
-    pub(crate) sizes: AxisSizes,
-}
-
-impl<'a> RunCtx<'a> {
-    /// A representative point for a margin class: sharing and preference
-    /// are fibered out (the LOD surrogate never reads them), so the first
-    /// axis value stands in for all.
-    fn margin_rep(
-        &self,
-        n: usize,
-        ch: usize,
-        cd: usize,
-        ab: usize,
-        os: usize,
-        ar: usize,
-    ) -> ExplorePoint {
-        let space = &self.spec.space;
-        ExplorePoint {
-            base: bios_platform::DesignPoint {
-                nanostructure: space.nanostructures[n],
-                sharing: space.sharing[0],
-                chopper: space.chopper[ch],
-                cds: space.cds[cd],
-                adc_bits: space.adc_bits[ab],
-                preference: space.preferences[0],
-            },
-            oversampling: space.oversampling[os],
-            area_pct: space.area_pct[ar],
-        }
-    }
-
-    /// Fills the margin table and per-class first-failing analyte.
-    pub(crate) fn fill_margin_classes(
-        &self,
-        margins: &mut [f64],
-        culprits: &mut [Option<Analyte>],
-    ) -> Result<(), ExploreError> {
-        let sz = self.sizes;
-        let panel = &self.spec.panel;
-        for n in 0..sz.n {
-            for ch in 0..sz.ch {
-                for cd in 0..sz.cd {
-                    for ab in 0..sz.ab {
-                        for os in 0..sz.os {
-                            for ar in 0..sz.ar {
-                                let mc = sz.margin_class(n, ch, cd, ab, os, ar);
-                                let p = self.margin_rep(n, ch, cd, ab, os, ar);
-                                let margin = worst_margin(panel, &p)?;
-                                margins[mc] = margin;
-                                if margin < 1.0 {
-                                    // Panel-order first failure, matching
-                                    // `evaluate_static`'s attribution.
-                                    for spec in panel.targets() {
-                                        let lod = surrogate_lod(spec.analyte, &p)?;
-                                        if required_lod(spec)?.value() / lod < 1.0 {
-                                            culprits[mc] = Some(spec.analyte);
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fills the AFE-compatibility table: first unrealizable target per
-    /// `(nanostructure, adc_bits)` class.
-    pub(crate) fn fill_afe_classes(
-        &self,
-        culprits: &mut [Option<Analyte>],
-    ) -> Result<(), ExploreError> {
-        let sz = self.sizes;
-        let space = &self.spec.space;
-        for n in 0..sz.n {
-            for ab in 0..sz.ab {
-                culprits[sz.afe_class(n, ab)] = afe_incompatibility(
-                    &self.spec.panel,
-                    space.nanostructures[n],
-                    space.adc_bits[ab],
-                )?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Fills the session-time table per `(sharing, cds, preference,
-    /// oversampling)` class.
-    pub(crate) fn fill_time_classes(&self, times: &mut [f64]) -> Result<(), ExploreError> {
-        let sz = self.sizes;
-        let space = &self.spec.space;
-        for s in 0..sz.s {
-            for cd in 0..sz.cd {
-                for pf in 0..sz.pf {
-                    let sk =
-                        self.cx
-                            .skeleton(space.preferences[pf], space.sharing[s], space.cds[cd])?;
-                    for os in 0..sz.os {
-                        times[sz.time_class(s, cd, pf, os)] =
-                            session_time_s(&sk, space.oversampling[os]);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fills the cost table per `(sharing, chopper, cds, adc_bits,
-    /// preference, oversampling, area)` class. Nanostructure is the only
-    /// fibered axis: the cost model never reads it.
-    pub(crate) fn fill_cost_classes(&self, costs: &mut [f64]) -> Result<(), ExploreError> {
-        let sz = self.sizes;
-        let space = &self.spec.space;
-        for s in 0..sz.s {
-            for ch in 0..sz.ch {
-                for cd in 0..sz.cd {
-                    for ab in 0..sz.ab {
-                        for pf in 0..sz.pf {
-                            let sk = self.cx.skeleton(
-                                space.preferences[pf],
-                                space.sharing[s],
-                                space.cds[cd],
-                            )?;
-                            for os in 0..sz.os {
-                                for ar in 0..sz.ar {
-                                    let p = ExplorePoint {
-                                        base: bios_platform::DesignPoint {
-                                            nanostructure: space.nanostructures[0],
-                                            sharing: space.sharing[s],
-                                            chopper: space.chopper[ch],
-                                            cds: space.cds[cd],
-                                            adc_bits: space.adc_bits[ab],
-                                            preference: space.preferences[pf],
-                                        },
-                                        oversampling: space.oversampling[os],
-                                        area_pct: space.area_pct[ar],
-                                    };
-                                    let cost = cost_scalar(&sk, &p);
-                                    if !cost.is_finite() {
-                                        return Err(ExploreError::NonFinite {
-                                            what: "surrogate cost",
-                                        });
-                                    }
-                                    costs[sz.cost_class(s, ch, cd, ab, pf, os, ar)] = cost;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
+    pub(crate) tables: &'a ClassTables,
 }
 
 /// Sweeps the full rank space once and clears every point some supplied
@@ -358,13 +202,8 @@ fn sweep_and_mark(
 /// Counts points the full static predicate keeps (feasible on every
 /// criterion) — the exact-size allocation for the dominance table.
 // advdiag::hot — full-space rank sweep: one visit per point, ≥10⁶ iterations
-fn count_feasible(
-    sz: &AxisSizes,
-    margins: &[f64],
-    afe: &[Option<Analyte>],
-    times: &[f64],
-    budget_s: f64,
-) -> usize {
+fn count_feasible(t: &ClassTables, budget_s: f64) -> usize {
+    let sz = &t.sizes;
     let mut count = 0usize;
     for n in 0..sz.n {
         for s in 0..sz.s {
@@ -374,9 +213,10 @@ fn count_feasible(
                         for pf in 0..sz.pf {
                             for os in 0..sz.os {
                                 for ar in 0..sz.ar {
-                                    let ok = margins[sz.margin_class(n, ch, cd, ab, os, ar)] >= 1.0
-                                        && afe[sz.afe_class(n, ab)].is_none()
-                                        && times[sz.time_class(s, cd, pf, os)] <= budget_s;
+                                    let ok = t.margins[sz.margin_class(n, ch, cd, ab, os, ar)]
+                                        >= 1.0
+                                        && t.afe_culprits[sz.afe_class(n, ab)].is_none()
+                                        && t.times[sz.time_class(s, cd, pf, os)] <= budget_s;
                                     if ok {
                                         count += 1;
                                     }
@@ -392,18 +232,11 @@ fn count_feasible(
 }
 
 /// Fills `(cost, margin, rank)` rows for every feasible point, in rank
-/// order, into a preallocated table. Returns the cursor, which must equal
-/// the table length.
+/// order, into a preallocated table, pricing each feasible point's bill.
+/// Returns the cursor, which must equal the table length.
 // advdiag::hot — full-space rank sweep: one visit per point, ≥10⁶ iterations
-fn fill_feasible(
-    sz: &AxisSizes,
-    margins: &[f64],
-    afe: &[Option<Analyte>],
-    times: &[f64],
-    costs: &[f64],
-    budget_s: f64,
-    out: &mut [(f64, f64, u64)],
-) -> usize {
+fn fill_feasible(t: &ClassTables, budget_s: f64, out: &mut [(f64, f64, u64)]) -> usize {
+    let sz = &t.sizes;
     let mut rank: u64 = 0;
     let mut cursor = 0usize;
     for n in 0..sz.n {
@@ -414,15 +247,22 @@ fn fill_feasible(
                         for pf in 0..sz.pf {
                             for os in 0..sz.os {
                                 for ar in 0..sz.ar {
-                                    let ok = margins[sz.margin_class(n, ch, cd, ab, os, ar)] >= 1.0
-                                        && afe[sz.afe_class(n, ab)].is_none()
-                                        && times[sz.time_class(s, cd, pf, os)] <= budget_s;
+                                    let margin = t.margins[sz.margin_class(n, ch, cd, ab, os, ar)];
+                                    let ok = margin >= 1.0
+                                        && t.afe_culprits[sz.afe_class(n, ab)].is_none()
+                                        && t.times[sz.time_class(s, cd, pf, os)] <= budget_s;
                                     if ok && cursor < out.len() {
-                                        out[cursor] = (
-                                            costs[sz.cost_class(s, ch, cd, ab, pf, os, ar)],
-                                            margins[sz.margin_class(n, ch, cd, ab, os, ar)],
-                                            rank,
-                                        );
+                                        let i = AxisIndex {
+                                            n,
+                                            s,
+                                            ch,
+                                            cd,
+                                            ab,
+                                            pf,
+                                            os,
+                                            ar,
+                                        };
+                                        out[cursor] = (t.cost_at(i), margin, rank);
                                         cursor += 1;
                                     }
                                     rank += 1;
@@ -485,19 +325,24 @@ impl<'a> RunCtx<'a> {
         state: &mut SpaceState,
     ) -> Result<PassReport, ExploreError> {
         let points_in = state.alive.count();
-        let sz = self.sizes;
+        let t = self.tables;
+        let sz = t.sizes;
         let budget_s = self.spec.session_budget.value();
         let (classes_evaluated, rejects) = match pass {
             PassId::LodFeasibility => {
-                let mut margins = vec![0.0f64; sz.margin_classes()];
-                let mut culprits = vec![None; sz.margin_classes()];
-                self.fill_margin_classes(&mut margins, &mut culprits)?;
-                sweep_and_mark(&sz, Some(&margins), None, None, budget_s, &mut state.alive);
+                sweep_and_mark(
+                    &sz,
+                    Some(&t.margins),
+                    None,
+                    None,
+                    budget_s,
+                    &mut state.alive,
+                );
                 let fiber = (sz.s * sz.pf) as u64;
                 let mut buckets = BTreeMap::new();
-                for (mc, m) in margins.iter().enumerate() {
+                for (m, culprit) in t.margins.iter().zip(&t.lod_culprits) {
                     if *m < 1.0 {
-                        let analyte = culprits[mc].ok_or(ExploreError::Internal {
+                        let analyte = culprit.ok_or(ExploreError::Internal {
                             what: "infeasible margin class with no culprit",
                         })?;
                         let e = buckets
@@ -510,12 +355,17 @@ impl<'a> RunCtx<'a> {
                 (sz.margin_classes() as u64, bucketize(buckets))
             }
             PassId::AfeRange => {
-                let mut culprits = vec![None; sz.afe_classes()];
-                self.fill_afe_classes(&mut culprits)?;
-                sweep_and_mark(&sz, None, Some(&culprits), None, budget_s, &mut state.alive);
+                sweep_and_mark(
+                    &sz,
+                    None,
+                    Some(&t.afe_culprits),
+                    None,
+                    budget_s,
+                    &mut state.alive,
+                );
                 let fiber = (sz.s * sz.ch * sz.cd * sz.pf * sz.os * sz.ar) as u64;
                 let mut buckets = BTreeMap::new();
-                for c in culprits.iter().flatten() {
+                for c in t.afe_culprits.iter().flatten() {
                     let e = buckets
                         .entry(RejectReason::AfeRangeNoiseIncompatible { analyte: *c })
                         .or_insert((0, 0));
@@ -525,16 +375,14 @@ impl<'a> RunCtx<'a> {
                 (sz.afe_classes() as u64, bucketize(buckets))
             }
             PassId::SessionSchedule => {
-                let mut times = vec![0.0f64; sz.time_classes()];
-                self.fill_time_classes(&mut times)?;
-                sweep_and_mark(&sz, None, None, Some(&times), budget_s, &mut state.alive);
+                sweep_and_mark(&sz, None, None, Some(&t.times), budget_s, &mut state.alive);
                 let fiber = (sz.n * sz.ch * sz.ab * sz.ar) as u64;
                 let mut buckets = BTreeMap::new();
                 for s in 0..sz.s {
                     for cd in 0..sz.cd {
                         for pf in 0..sz.pf {
                             for os in 0..sz.os {
-                                if times[sz.time_class(s, cd, pf, os)] > budget_s {
+                                if t.times[sz.time_class(s, cd, pf, os)] > budget_s {
                                     let reason = match self.spec.space.sharing[s] {
                                         bios_platform::ReadoutSharing::Shared => {
                                             RejectReason::SharingConflict
@@ -554,22 +402,12 @@ impl<'a> RunCtx<'a> {
                 (sz.time_classes() as u64, bucketize(buckets))
             }
             PassId::Dominance => {
-                // Dominance re-derives feasibility from its own tables so
-                // its verdicts never depend on which passes ran before it.
-                let mut margins = vec![0.0f64; sz.margin_classes()];
-                let mut culprits = vec![None; sz.margin_classes()];
-                self.fill_margin_classes(&mut margins, &mut culprits)?;
-                let mut afe = vec![None; sz.afe_classes()];
-                self.fill_afe_classes(&mut afe)?;
-                let mut times = vec![0.0f64; sz.time_classes()];
-                self.fill_time_classes(&mut times)?;
-                let mut costs = vec![0.0f64; sz.cost_classes()];
-                self.fill_cost_classes(&mut costs)?;
-
-                let feasible = count_feasible(&sz, &margins, &afe, &times, budget_s);
+                // Dominance re-derives feasibility from the tables, never
+                // from the alive set, so its verdicts do not depend on
+                // which passes ran before it.
+                let feasible = count_feasible(t, budget_s);
                 let mut rows = vec![(0.0f64, 0.0f64, 0u64); feasible];
-                let cursor =
-                    fill_feasible(&sz, &margins, &afe, &times, &costs, budget_s, &mut rows);
+                let cursor = fill_feasible(t, budget_s, &mut rows);
                 if cursor != rows.len() {
                     return Err(ExploreError::Internal {
                         what: "feasible count and fill cursor disagree",

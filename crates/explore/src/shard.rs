@@ -20,14 +20,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use bios_electrochem::Nanostructure;
-use bios_platform::{evaluate, required_lod, try_par_map, EvaluatedDesign, ExecPolicy, PanelSpec};
+use bios_platform::{
+    evaluate, required_lod, try_par_map, DesignPoint, EvaluatedDesign, ExecPolicy, PanelSpec,
+};
 
-use crate::context::{pref_ordinal, sharing_ordinal, PanelContext};
+use crate::context::{pref_ordinal, sharing_ordinal};
 use crate::error::ExploreError;
 use crate::hash::Fnv;
-use crate::model::{cost_scalar, session_time_s, worst_margin, MODEL_VERSION};
+use crate::model::MODEL_VERSION;
 use crate::passes::BitSet;
 use crate::space::{ExplorePoint, ExploreSpec};
+use crate::tables::ClassTables;
 
 /// Entries before a wholesale clear; a band rarely exceeds a few dozen
 /// shards, so the cap only guards pathological churn.
@@ -152,28 +155,19 @@ pub fn clear_explore_cache() {
     }
 }
 
-/// Surrogate worst-margin per shard point — the scoring loop's hot kernel.
-// advdiag::hot — shard scoring loop over the surviving Pareto band
-fn score_shard_margins(
-    panel: &PanelSpec,
-    points: &[(u64, ExplorePoint)],
-    margins: &mut [f64],
-) -> Result<(), ExploreError> {
-    let mut i = 0usize;
-    while i < points.len() && i < margins.len() {
-        margins[i] = worst_margin(panel, &points[i].1)?;
-        i += 1;
-    }
-    Ok(())
-}
-
 /// Scores one shard, through the content-hash cache. Returns the scored
 /// points (ranks re-attached) and whether the shard was replayed.
+///
+/// The surrogate axes come from the query's class tables. Points of one
+/// shard differ only in sharing, preference, oversampling and area, so
+/// they share at most `sharing × preference` architectural bases:
+/// [`evaluate`] (pure) runs once per distinct base and its result is
+/// cloned for the other points.
 // advdiag::cold(per-shard cache admin plus full platform simulation; runs once
 // per surviving band shard, never per space point)
 fn score_shard_cached(
     spec: &ExploreSpec,
-    cx: &PanelContext,
+    tables: &ClassTables,
     shard: &Shard,
 ) -> Result<(Vec<ScoredDesign>, bool), ExploreError> {
     let key = shard_fingerprint(spec, shard)?;
@@ -191,19 +185,26 @@ fn score_shard_cached(
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
 
-    let mut margins = vec![0.0f64; shard.points.len()];
-    score_shard_margins(&spec.panel, &shard.points, &mut margins)?;
+    let mut bases: Vec<(DesignPoint, EvaluatedDesign)> = Vec::new();
     let mut out = Vec::with_capacity(shard.points.len());
-    for ((rank, point), margin) in shard.points.iter().zip(margins.iter()) {
-        let sk = cx.skeleton(point.base.preference, point.base.sharing, point.base.cds)?;
-        let simulated = evaluate(&spec.panel, &point.base)?;
+    for (rank, point) in &shard.points {
+        let entry = tables.entry(*rank).ok_or(ExploreError::Internal {
+            what: "band rank outside the class tables",
+        })?;
+        let b = match bases.iter().position(|(base, _)| *base == point.base) {
+            Some(b) => b,
+            None => {
+                bases.push((point.base, evaluate(&spec.panel, &point.base)?));
+                bases.len() - 1
+            }
+        };
         out.push(ScoredDesign {
             rank: *rank,
             point: *point,
-            surrogate_cost: cost_scalar(&sk, point),
-            surrogate_margin: *margin,
-            session_s: session_time_s(&sk, point.oversampling),
-            simulated,
+            surrogate_cost: entry.cost,
+            surrogate_margin: entry.margin,
+            session_s: entry.session_s,
+            simulated: bases[b].1.clone(),
         });
     }
     if let Ok(mut cache) = shard_cache().lock() {
@@ -219,12 +220,12 @@ fn score_shard_cached(
 /// rank-ascending plus the number of shards replayed from cache.
 pub(crate) fn score_band(
     spec: &ExploreSpec,
-    cx: &PanelContext,
+    tables: &ClassTables,
     shards: &[Shard],
     policy: ExecPolicy,
 ) -> Result<(Vec<ScoredDesign>, u64), ExploreError> {
     let scored = try_par_map(policy, shards, |_, shard| {
-        score_shard_cached(spec, cx, shard)
+        score_shard_cached(spec, tables, shard)
     })?;
     let mut replayed = 0u64;
     let mut band = Vec::new();
@@ -241,10 +242,20 @@ pub(crate) fn score_band(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::PanelContext;
     use crate::space::ExploreSpace;
+    use bios_biochem::Analyte;
+    use bios_platform::TargetSpec;
 
+    /// A panel no other unit test explores: the shard cache is
+    /// process-global and tests run in parallel, so a test that needs a
+    /// cold shard uses a spec whose shard keys nobody else can insert.
     fn tiny_spec() -> ExploreSpec {
-        let mut spec = ExploreSpec::standard(PanelSpec::paper_fig4());
+        let panel = [Analyte::Glucose, Analyte::Lactate]
+            .into_iter()
+            .map(TargetSpec::typical)
+            .collect();
+        let mut spec = ExploreSpec::standard(panel);
         spec.space = ExploreSpace {
             adc_bits: vec![15, 16],
             oversampling: vec![1, 4],
@@ -283,6 +294,7 @@ mod tests {
     fn replay_is_bit_identical_and_reattaches_ranks() {
         let spec = tiny_spec();
         let cx = PanelContext::for_spec(&spec).expect("context");
+        let tables = ClassTables::build(&spec, &cx).expect("tables");
         let p = spec.space.point_at(3).expect("point");
         let shard = Shard {
             nanostructure: p.base.nanostructure,
@@ -291,14 +303,13 @@ mod tests {
             adc_bits: p.base.adc_bits,
             points: vec![(3, p)],
         };
-        clear_explore_cache();
-        let (cold, hit_cold) = score_shard_cached(&spec, &cx, &shard).expect("cold");
+        let (cold, hit_cold) = score_shard_cached(&spec, &tables, &shard).expect("cold");
         assert!(!hit_cold);
         let renumbered = Shard {
             points: vec![(99, p)],
             ..shard.clone()
         };
-        let (warm, hit_warm) = score_shard_cached(&spec, &cx, &renumbered).expect("warm");
+        let (warm, hit_warm) = score_shard_cached(&spec, &tables, &renumbered).expect("warm");
         assert!(hit_warm);
         assert_eq!(warm[0].rank, 99);
         assert_eq!(

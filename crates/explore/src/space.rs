@@ -37,8 +37,26 @@ pub struct ExplorePoint {
 impl ExplorePoint {
     /// Area scale factor `a` relative to the paper's WE geometry.
     pub fn area_scale(&self) -> f64 {
-        f64::from(self.area_pct) / 100.0
+        area_scale_of(self.area_pct)
     }
+}
+
+/// The area scale factor of an `area_pct` axis value.
+pub(crate) fn area_scale_of(area_pct: u32) -> f64 {
+    f64::from(area_pct) / 100.0
+}
+
+/// One point's position on each of the eight axes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AxisIndex {
+    pub n: usize,
+    pub s: usize,
+    pub ch: usize,
+    pub cd: usize,
+    pub ab: usize,
+    pub pf: usize,
+    pub os: usize,
+    pub ar: usize,
 }
 
 /// Axis cardinalities and row-major strides, precomputed once per run so
@@ -65,6 +83,38 @@ impl AxisSizes {
             * self.pf as u64
             * self.os as u64
             * self.ar as u64
+    }
+
+    /// Decodes a row-major rank into per-axis indices; `None` past the end.
+    pub(crate) fn decode(&self, rank: u64) -> Option<AxisIndex> {
+        if rank >= self.total() {
+            return None;
+        }
+        let mut r = rank;
+        let ar = (r % self.ar as u64) as usize;
+        r /= self.ar as u64;
+        let os = (r % self.os as u64) as usize;
+        r /= self.os as u64;
+        let pf = (r % self.pf as u64) as usize;
+        r /= self.pf as u64;
+        let ab = (r % self.ab as u64) as usize;
+        r /= self.ab as u64;
+        let cd = (r % self.cd as u64) as usize;
+        r /= self.cd as u64;
+        let ch = (r % self.ch as u64) as usize;
+        r /= self.ch as u64;
+        let s = (r % self.s as u64) as usize;
+        r /= self.s as u64;
+        Some(AxisIndex {
+            n: r as usize,
+            s,
+            ch,
+            cd,
+            ab,
+            pf,
+            os,
+            ar,
+        })
     }
 
     /// Row-major rank from per-axis indices (test oracle for the decoder;
@@ -110,24 +160,18 @@ impl AxisSizes {
         self.n * self.ch * self.cd * self.ab * self.os * self.ar
     }
 
-    /// Cost-class index over the axes the cost surrogate reads:
-    /// `(s, ch, cd, ab, pf, os, ar)` — nanostructure is fibered out.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn cost_class(
-        &self,
-        s: usize,
-        ch: usize,
-        cd: usize,
-        ab: usize,
-        pf: usize,
-        os: usize,
-        ar: usize,
-    ) -> usize {
-        (((((s * self.ch + ch) * self.cd + cd) * self.ab + ab) * self.pf + pf) * self.os + os)
-            * self.ar
-            + ar
+    /// Bill-class index over the axes the electronics bill reads:
+    /// `(s, ch, cd, ab, pf)`. A cost class adds oversampling and area.
+    pub(crate) fn bill_class(&self, s: usize, ch: usize, cd: usize, ab: usize, pf: usize) -> usize {
+        (((s * self.ch + ch) * self.cd + cd) * self.ab + ab) * self.pf + pf
     }
 
+    pub(crate) fn bill_classes(&self) -> usize {
+        self.s * self.ch * self.cd * self.ab * self.pf
+    }
+
+    /// Cost classes: bill classes × oversampling × area (nanostructure is
+    /// the only axis the cost model never reads).
     pub(crate) fn cost_classes(&self) -> usize {
         self.s * self.ch * self.cd * self.ab * self.pf * self.os * self.ar
     }
@@ -269,38 +313,23 @@ impl ExploreSpace {
 
     /// Decodes a row-major rank into its point; `None` past the end.
     pub fn point_at(&self, rank: u64) -> Option<ExplorePoint> {
-        let sz = self.sizes();
-        if rank >= sz.total() {
-            return None;
-        }
-        let mut r = rank;
-        let ar = (r % sz.ar as u64) as usize;
-        r /= sz.ar as u64;
-        let os = (r % sz.os as u64) as usize;
-        r /= sz.os as u64;
-        let pf = (r % sz.pf as u64) as usize;
-        r /= sz.pf as u64;
-        let ab = (r % sz.ab as u64) as usize;
-        r /= sz.ab as u64;
-        let cd = (r % sz.cd as u64) as usize;
-        r /= sz.cd as u64;
-        let ch = (r % sz.ch as u64) as usize;
-        r /= sz.ch as u64;
-        let s = (r % sz.s as u64) as usize;
-        r /= sz.s as u64;
-        let n = r as usize;
-        Some(ExplorePoint {
+        self.sizes().decode(rank).map(|i| self.point_of(i))
+    }
+
+    /// The point at per-axis indices (which must be in range).
+    pub(crate) fn point_of(&self, i: AxisIndex) -> ExplorePoint {
+        ExplorePoint {
             base: DesignPoint {
-                nanostructure: self.nanostructures[n],
-                sharing: self.sharing[s],
-                chopper: self.chopper[ch],
-                cds: self.cds[cd],
-                adc_bits: self.adc_bits[ab],
-                preference: self.preferences[pf],
+                nanostructure: self.nanostructures[i.n],
+                sharing: self.sharing[i.s],
+                chopper: self.chopper[i.ch],
+                cds: self.cds[i.cd],
+                adc_bits: self.adc_bits[i.ab],
+                preference: self.preferences[i.pf],
             },
-            oversampling: self.oversampling[os],
-            area_pct: self.area_pct[ar],
-        })
+            oversampling: self.oversampling[i.os],
+            area_pct: self.area_pct[i.ar],
+        }
     }
 
     /// Lazily iterates all points in rank order. O(1) memory.
@@ -411,10 +440,14 @@ mod tests {
                 .position(|&v| v == p.area_pct)
                 .expect("axis");
             assert_eq!(sz.rank(n, s, ch, cd, ab, pf, os, ar), r);
+            let i = sz.decode(r).expect("in range");
+            assert_eq!((i.n, i.s, i.ch, i.cd), (n, s, ch, cd));
+            assert_eq!((i.ab, i.pf, i.os, i.ar), (ab, pf, os, ar));
             seen.insert((p.base, p.oversampling, p.area_pct));
         }
         assert_eq!(seen.len() as u64, space.len());
         assert!(space.point_at(space.len()).is_none());
+        assert!(sz.decode(space.len()).is_none());
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Property-based tests pinning the class-factored pipeline to per-point
-//! ground truth: exact-frontier-vs-brute-force on random subsampled spaces,
+//! ground truth: every class-table entry against the per-point closed
+//! forms, exact-frontier-vs-brute-force on random subsampled spaces,
 //! pass-order independence, exec-policy independence, and the bit-coupling
 //! of the surrogate to the core analytic model.
 
 use bios_biochem::Analyte;
 use bios_electrochem::Nanostructure;
 use bios_explore::{
-    brute_force_band, explore, explore_with_manager, surrogate_lod, ExplorePoint, ExploreSpace,
-    ExploreSpec, PassId, PassManager,
+    afe_incompatibility, brute_force_band, cost_scalar, explore, explore_with_manager,
+    session_time_s, surrogate_lod, worst_margin, ClassTables, ExplorePoint, ExploreSpace,
+    ExploreSpec, PanelContext, PassId, PassManager,
 };
 use bios_platform::{
-    predict_lod, DesignPoint, ExecPolicy, PanelSpec, ProbePreference, ReadoutSharing, TargetSpec,
+    predict_lod, required_lod, DesignPoint, ExecPolicy, PanelSpec, ProbePreference, ReadoutSharing,
+    TargetSpec,
 };
 use bios_units::Seconds;
 use proptest::prelude::*;
@@ -125,6 +128,75 @@ fn permutation(k: usize) -> [PassId; 4] {
         }
     }
     out
+}
+
+proptest! {
+    // Over half the random panels name a target without a calibration
+    // row, which fails the table build; the extra cases keep the number
+    // of fully checked tables up. Each case is cheap (≤ a few hundred
+    // points, no simulation).
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every class-table entry equals the per-point closed forms bit for
+    /// bit, at every point of its class's fiber (the class representative
+    /// included) — rejected classes too, not just the surviving band.
+    #[test]
+    fn class_tables_match_per_point_closed_forms(spec in arbitrary_spec()) {
+        if spec.space.len() > 4096 {
+            return Ok(());
+        }
+        let Ok(cx) = PanelContext::for_spec(&spec) else {
+            // The builder rejects the panel; explore fails the same way.
+            prop_assert!(explore(&spec, ExecPolicy::Sequential).is_err());
+            return Ok(());
+        };
+        let tables = match ClassTables::build(&spec, &cx) {
+            Ok(tables) => tables,
+            Err(e) => {
+                // A target without a calibration row: the per-point closed
+                // forms and the pipeline refuse the panel too.
+                let point = spec.space.point_at(0).expect("non-empty space");
+                prop_assert!(worst_margin(&spec.panel, &point).is_err(), "tables err {}", e);
+                prop_assert!(explore(&spec, ExecPolicy::Sequential).is_err());
+                return Ok(());
+            }
+        };
+        for (rank, point) in spec.space.iter().enumerate() {
+            let entry = tables.entry(rank as u64).expect("rank in range");
+            let margin = worst_margin(&spec.panel, &point).expect("margin");
+            prop_assert_eq!(entry.margin.to_bits(), margin.to_bits(), "rank {}", rank);
+            let mut lod_culprit = None;
+            for target in spec.panel.targets() {
+                let lod = surrogate_lod(target.analyte, &point).expect("lod");
+                if required_lod(target).expect("requirement").value() / lod < 1.0 {
+                    lod_culprit = Some(target.analyte);
+                    break;
+                }
+            }
+            prop_assert_eq!(entry.lod_culprit, lod_culprit, "rank {}", rank);
+            let afe = afe_incompatibility(
+                &spec.panel,
+                point.base.nanostructure,
+                point.base.adc_bits,
+            )
+            .expect("afe");
+            prop_assert_eq!(entry.afe_culprit, afe, "rank {}", rank);
+            let sk = cx
+                .skeleton(point.base.preference, point.base.sharing, point.base.cds)
+                .expect("skeleton");
+            prop_assert_eq!(
+                entry.session_s.to_bits(),
+                session_time_s(&sk, point.oversampling).to_bits(),
+                "rank {}", rank
+            );
+            prop_assert_eq!(
+                entry.cost.to_bits(),
+                cost_scalar(&sk, &point).to_bits(),
+                "rank {}", rank
+            );
+        }
+        prop_assert!(tables.entry(spec.space.len()).is_none());
+    }
 }
 
 proptest! {

@@ -73,7 +73,6 @@ pub const HOT_ROOTS: &[(&str, Level)] = &[
     ("step_wave", Level::PerIter),
     ("step_active", Level::PerIter),
     ("sweep_and_mark", Level::PerIter),
-    ("score_shard_margins", Level::PerIter),
 ];
 
 /// The server's shard stepping loop: the reachability root for H3.
