@@ -67,7 +67,7 @@ pub fn explore_with_manager(
 ) -> Result<ExploreOutcome, ExploreError> {
     spec.validate()?;
     let cx = PanelContext::for_spec(spec)?;
-    let tables = ClassTables::build(spec, &cx)?;
+    let tables = ClassTables::build(spec, &cx, policy)?;
     let total_points = spec.space.len();
     let rcx = RunCtx {
         spec,

@@ -189,6 +189,32 @@ impl Bill {
             && self.skeleton.schedule_s.is_finite()
     }
 
+    /// Whether `other` is this bill bit for bit. Equal bills price to the
+    /// same cost bits at every oversampling and area, and their skeletons
+    /// give the same session times.
+    pub(crate) fn same_bits(&self, other: &Bill) -> bool {
+        let Bill {
+            skeleton,
+            power,
+            area_mm2,
+        } = self;
+        let Skeleton {
+            n_we,
+            total_electrodes,
+            chambers,
+            schedule_s,
+            we_area_cm2,
+        } = skeleton;
+        let o = &other.skeleton;
+        *n_we == o.n_we
+            && *total_electrodes == o.total_electrodes
+            && *chambers == o.chambers
+            && schedule_s.to_bits() == o.schedule_s.to_bits()
+            && we_area_cm2.to_bits() == o.we_area_cm2.to_bits()
+            && power.value().to_bits() == other.power.value().to_bits()
+            && area_mm2.to_bits() == other.area_mm2.to_bits()
+    }
+
     /// The scalar cost at one oversampling factor and area scale.
     // advdiag::hot — per-point pricing kernel of the dominance sweep
     pub(crate) fn priced(&self, oversampling: u16, area_scale: f64) -> f64 {

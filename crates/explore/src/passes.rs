@@ -27,14 +27,13 @@ use bios_biochem::Analyte;
 
 use crate::error::ExploreError;
 use crate::model::RejectReason;
-use crate::space::{AxisIndex, AxisSizes, ExploreSpec};
-use crate::tables::ClassTables;
+use crate::space::{AxisSizes, ExploreSpec};
+use crate::tables::{BillGroups, ClassTables};
 
 /// A fixed-size bitmap over ranks; bit set = point still alive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BitSet {
     words: Vec<u64>,
-    len: u64,
 }
 
 impl BitSet {
@@ -47,7 +46,7 @@ impl BitSet {
                 *last = (1u64 << tail) - 1;
             }
         }
-        Self { words, len }
+        Self { words }
     }
 
     #[inline]
@@ -55,9 +54,45 @@ impl BitSet {
         self.words[(i >> 6) as usize] &= !(1u64 << (i & 63));
     }
 
-    #[inline]
-    pub(crate) fn get(&self, i: u64) -> bool {
-        (self.words[(i >> 6) as usize] >> (i & 63)) & 1 == 1
+    /// Clears the `len` bits starting at `start`, a word at a time.
+    // advdiag::hot — run-clearing kernel of the feasibility sweeps
+    pub(crate) fn clear_run(&mut self, start: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
+        let last = start + len - 1;
+        let (w0, w1) = ((start >> 6) as usize, (last >> 6) as usize);
+        let lo = u64::MAX << (start & 63);
+        let hi = u64::MAX >> (63 - (last & 63));
+        if w0 == w1 {
+            self.words[w0] &= !(lo & hi);
+            return;
+        }
+        self.words[w0] &= !lo;
+        for w in &mut self.words[w0 + 1..w1] {
+            *w = 0;
+        }
+        self.words[w1] &= !hi;
+    }
+
+    /// Clears bit `start + k` for every set bit `k` of `pattern`, a word at
+    /// a time. The pattern's bits must all lie inside the bitmap.
+    // advdiag::hot — pattern-clearing kernel of the feasibility sweeps
+    pub(crate) fn clear_pattern(&mut self, start: u64, pattern: &[u64]) {
+        let w0 = (start >> 6) as usize;
+        let shift = (start & 63) as u32;
+        for (k, &p) in pattern.iter().enumerate() {
+            if p == 0 {
+                continue;
+            }
+            self.words[w0 + k] &= !(p << shift);
+            if shift != 0 {
+                let spill = p >> (64 - shift);
+                if spill != 0 {
+                    self.words[w0 + k + 1] &= !spill;
+                }
+            }
+        }
     }
 
     pub(crate) fn count(&self) -> u64 {
@@ -68,8 +103,20 @@ impl BitSet {
         total
     }
 
+    /// Set ranks, ascending, found word by word with `trailing_zeros`.
     pub(crate) fn iter_set(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.len).filter(move |&i| self.get(i))
+        self.words.iter().enumerate().flat_map(|(i, &w)| {
+            let base = (i as u64) << 6;
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = u64::from(rest.trailing_zeros());
+                rest &= rest - 1;
+                Some(base + bit)
+            })
+        })
     }
 }
 
@@ -154,42 +201,96 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) tables: &'a ClassTables,
 }
 
-/// Sweeps the full rank space once and clears every point some supplied
-/// class table refutes. Shared by the three feasibility passes; each pass
-/// supplies only its own table so its verdicts stay independent.
-// advdiag::hot — full-space rank sweep: one visit per point, ≥10⁶ iterations
-fn sweep_and_mark(
-    sz: &AxisSizes,
-    margins: Option<&[f64]>,
-    afe: Option<&[Option<Analyte>]>,
-    times: Option<&[f64]>,
-    budget_s: f64,
-    alive: &mut BitSet,
-) {
-    let mut rank: u64 = 0;
+/// Clears every point of an infeasible margin class. Per `(n, ch, cd,
+/// ab)` the `os × ar` block of margins is one contiguous bit pattern
+/// (`pattern`, sized `⌈os·ar / 64⌉` words by the caller), cleared from
+/// each `(sharing, preference)` run of the class.
+// advdiag::hot — class-level LOD sweep: one pattern per (n, ch, cd, ab)
+fn clear_lod(sz: &AxisSizes, margins: &[f64], pattern: &mut [u64], alive: &mut BitSet) {
+    let st = sz.strides();
+    let run = sz.os * sz.ar;
+    let mut block = 0usize;
     for n in 0..sz.n {
-        for s in 0..sz.s {
-            for ch in 0..sz.ch {
-                for cd in 0..sz.cd {
-                    for ab in 0..sz.ab {
+        for ch in 0..sz.ch {
+            for cd in 0..sz.cd {
+                for ab in 0..sz.ab {
+                    for w in pattern.iter_mut() {
+                        *w = 0;
+                    }
+                    let mut any = false;
+                    for k in 0..run {
+                        if margins[block + k] < 1.0 {
+                            pattern[k >> 6] |= 1u64 << (k & 63);
+                            any = true;
+                        }
+                    }
+                    block += run;
+                    if !any {
+                        continue;
+                    }
+                    let base =
+                        n as u64 * st.n + ch as u64 * st.ch + cd as u64 * st.cd + ab as u64 * st.ab;
+                    for s in 0..sz.s {
                         for pf in 0..sz.pf {
-                            for os in 0..sz.os {
-                                for ar in 0..sz.ar {
-                                    let mut dead = false;
-                                    if let Some(m) = margins {
-                                        dead |= m[sz.margin_class(n, ch, cd, ab, os, ar)] < 1.0;
-                                    }
-                                    if let Some(a) = afe {
-                                        dead |= a[sz.afe_class(n, ab)].is_some();
-                                    }
-                                    if let Some(t) = times {
-                                        dead |= t[sz.time_class(s, cd, pf, os)] > budget_s;
-                                    }
-                                    if dead {
-                                        alive.clear(rank);
-                                    }
-                                    rank += 1;
-                                }
+                            alive
+                                .clear_pattern(base + s as u64 * st.s + pf as u64 * st.pf, pattern);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Clears every point of a refuted `(n, ab)` AFE class: one run of
+/// `pf × os × ar` ranks per `(sharing, chopper, cds)`.
+// advdiag::hot — class-level AFE sweep: one run per refuted (n, s, ch, cd, ab)
+fn clear_afe(sz: &AxisSizes, afe: &[Option<Analyte>], alive: &mut BitSet) {
+    let st = sz.strides();
+    for n in 0..sz.n {
+        for ab in 0..sz.ab {
+            if afe[sz.afe_class(n, ab)].is_none() {
+                continue;
+            }
+            for s in 0..sz.s {
+                for ch in 0..sz.ch {
+                    for cd in 0..sz.cd {
+                        let start = n as u64 * st.n
+                            + s as u64 * st.s
+                            + ch as u64 * st.ch
+                            + cd as u64 * st.cd
+                            + ab as u64 * st.ab;
+                        alive.clear_run(start, st.ab);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Clears every point of an over-budget `(s, cd, pf, os)` time class: one
+/// run of `ar` ranks per `(n, ch, ab)`.
+// advdiag::hot — class-level schedule sweep: one run per refuted (n, s, ch, cd, ab, pf, os)
+fn clear_schedule(sz: &AxisSizes, times: &[f64], budget_s: f64, alive: &mut BitSet) {
+    let st = sz.strides();
+    for s in 0..sz.s {
+        for cd in 0..sz.cd {
+            for pf in 0..sz.pf {
+                for os in 0..sz.os {
+                    if times[sz.time_class(s, cd, pf, os)] <= budget_s {
+                        continue;
+                    }
+                    for n in 0..sz.n {
+                        for ch in 0..sz.ch {
+                            for ab in 0..sz.ab {
+                                let start = n as u64 * st.n
+                                    + s as u64 * st.s
+                                    + ch as u64 * st.ch
+                                    + cd as u64 * st.cd
+                                    + ab as u64 * st.ab
+                                    + pf as u64 * st.pf
+                                    + os as u64 * st.os;
+                                alive.clear_run(start, st.os);
                             }
                         }
                     }
@@ -199,28 +300,80 @@ fn sweep_and_mark(
     }
 }
 
-/// Counts points the full static predicate keeps (feasible on every
-/// criterion) — the exact-size allocation for the dominance table.
-// advdiag::hot — full-space rank sweep: one visit per point, ≥10⁶ iterations
-fn count_feasible(t: &ClassTables, budget_s: f64) -> usize {
+/// Tallies infeasible margin classes per LOD culprit into `counts`, one
+/// slot per distinct panel analyte.
+// advdiag::hot — per-margin-class culprit tally of the LOD pass
+fn count_lod_culprits(
+    margins: &[f64],
+    culprits: &[Option<Analyte>],
+    counts: &mut [(Analyte, u64)],
+) -> Result<(), ExploreError> {
+    for (m, culprit) in margins.iter().zip(culprits) {
+        if *m < 1.0 {
+            let analyte = culprit.ok_or(ExploreError::Internal {
+                what: "infeasible margin class with no culprit",
+            })?;
+            let slot =
+                counts
+                    .iter_mut()
+                    .find(|(a, _)| *a == analyte)
+                    .ok_or(ExploreError::Internal {
+                        what: "LOD culprit outside the panel",
+                    })?;
+            slot.1 += 1;
+        }
+    }
+    Ok(())
+}
+
+/// One feasible `(margin class, bill group)`: every member point of the
+/// group at this margin class has exactly this cost and margin.
+#[derive(Debug, Clone, Copy)]
+struct GroupRow {
+    cost: f64,
+    margin: f64,
+    /// Rank of the class's `(sharing, preference) = (0, 0)` point; members
+    /// add their offsets to it.
+    base: u64,
+    /// Global bill-group index.
+    group: u32,
+}
+
+/// Appends one row per feasible `(margin class, bill group)` to `rows`.
+/// Refuted AFE classes are skipped whole, over-budget groups per
+/// oversampling value, infeasible margin classes per row.
+// advdiag::hot — class-level dominance sweep: one visit per (margin class, bill group)
+fn fill_group_rows(t: &ClassTables, budget_s: f64, rows: &mut Vec<GroupRow>) {
     let sz = &t.sizes;
-    let mut count = 0usize;
+    let st = sz.strides();
     for n in 0..sz.n {
-        for s in 0..sz.s {
-            for ch in 0..sz.ch {
-                for cd in 0..sz.cd {
-                    for ab in 0..sz.ab {
-                        for pf in 0..sz.pf {
-                            for os in 0..sz.os {
-                                for ar in 0..sz.ar {
-                                    let ok = t.margins[sz.margin_class(n, ch, cd, ab, os, ar)]
-                                        >= 1.0
-                                        && t.afe_culprits[sz.afe_class(n, ab)].is_none()
-                                        && t.times[sz.time_class(s, cd, pf, os)] <= budget_s;
-                                    if ok {
-                                        count += 1;
-                                    }
+        for ch in 0..sz.ch {
+            for cd in 0..sz.cd {
+                for ab in 0..sz.ab {
+                    if t.afe_culprits[sz.afe_class(n, ab)].is_some() {
+                        continue;
+                    }
+                    let span = t.groups.span((ch * sz.cd + cd) * sz.ab + ab);
+                    let base =
+                        n as u64 * st.n + ch as u64 * st.ch + cd as u64 * st.cd + ab as u64 * st.ab;
+                    for os in 0..sz.os {
+                        let block = sz.margin_class(n, ch, cd, ab, os, 0);
+                        for g in span.start..span.end {
+                            let grp = t.groups.group(g);
+                            if t.times[grp.time + os] > budget_s {
+                                continue;
+                            }
+                            for ar in 0..sz.ar {
+                                let margin = t.margins[block + ar];
+                                if margin < 1.0 {
+                                    continue;
                                 }
+                                rows.push(GroupRow {
+                                    cost: t.priced(grp.bill, os, ar),
+                                    margin,
+                                    base: base + os as u64 * st.os + ar as u64,
+                                    group: g as u32,
+                                });
                             }
                         }
                     }
@@ -228,76 +381,31 @@ fn count_feasible(t: &ClassTables, budget_s: f64) -> usize {
             }
         }
     }
-    count
 }
 
-/// Fills `(cost, margin, rank)` rows for every feasible point, in rank
-/// order, into a preallocated table, pricing each feasible point's bill.
-/// Returns the cursor, which must equal the table length.
-// advdiag::hot — full-space rank sweep: one visit per point, ≥10⁶ iterations
-fn fill_feasible(t: &ClassTables, budget_s: f64, out: &mut [(f64, f64, u64)]) -> usize {
-    let sz = &t.sizes;
-    let mut rank: u64 = 0;
-    let mut cursor = 0usize;
-    for n in 0..sz.n {
-        for s in 0..sz.s {
-            for ch in 0..sz.ch {
-                for cd in 0..sz.cd {
-                    for ab in 0..sz.ab {
-                        for pf in 0..sz.pf {
-                            for os in 0..sz.os {
-                                for ar in 0..sz.ar {
-                                    let margin = t.margins[sz.margin_class(n, ch, cd, ab, os, ar)];
-                                    let ok = margin >= 1.0
-                                        && t.afe_culprits[sz.afe_class(n, ab)].is_none()
-                                        && t.times[sz.time_class(s, cd, pf, os)] <= budget_s;
-                                    if ok && cursor < out.len() {
-                                        let i = AxisIndex {
-                                            n,
-                                            s,
-                                            ch,
-                                            cd,
-                                            ab,
-                                            pf,
-                                            os,
-                                            ar,
-                                        };
-                                        out[cursor] = (t.cost_at(i), margin, rank);
-                                        cursor += 1;
-                                    }
-                                    rank += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    cursor
-}
-
-/// Marks dominated rows in the sorted feasible table.
+/// Marks dominated rows in the sorted dominance table.
 ///
-/// Input rows are sorted by `(cost asc, margin desc, rank asc)`. A row is
-/// dominated iff a strictly cheaper row has margin ≥ its margin, or an
-/// equal-cost row has strictly greater margin. Exact `(cost, margin)` ties
-/// all survive — the same tie semantics as [`bios_platform::pareto_front`].
-// advdiag::hot — single scan over the sorted feasible table
-fn mark_dominated(rows: &[(f64, f64, u64)], dominated: &mut [bool]) {
+/// Input rows are sorted by `(cost asc, margin desc)`. A row is dominated
+/// iff a strictly cheaper row has margin ≥ its margin, or an equal-cost
+/// row has strictly greater margin. Exact `(cost, margin)` ties all
+/// survive — the same tie semantics as [`bios_platform::pareto_front`].
+/// The verdict reads only the row's `(cost, margin)` pair, so rows of
+/// equal pairs share it.
+// advdiag::hot — single scan over the sorted dominance table
+fn mark_dominated(rows: &[GroupRow], dominated: &mut [bool]) {
     let mut best_prev = f64::NEG_INFINITY; // best margin among strictly cheaper rows
     let mut g = 0usize; // group start
     while g < rows.len() {
-        let cost_bits = rows[g].0.to_bits();
+        let cost_bits = rows[g].cost.to_bits();
         let mut end = g;
-        while end < rows.len() && rows[end].0.to_bits() == cost_bits {
+        while end < rows.len() && rows[end].cost.to_bits() == cost_bits {
             end += 1;
         }
         // Sorted margin-desc within the group, so the group max is first.
-        let group_max = rows[g].1;
+        let group_max = rows[g].margin;
         let mut k = g;
         while k < end {
-            let margin = rows[k].1;
+            let margin = rows[k].margin;
             dominated[k] = best_prev >= margin || margin < group_max;
             k += 1;
         }
@@ -306,6 +414,36 @@ fn mark_dominated(rows: &[(f64, f64, u64)], dominated: &mut [bool]) {
         }
         g = end;
     }
+}
+
+/// Clears every member point of each dominated row. Returns the distinct
+/// dominated `(cost, margin)` bit pairs (adjacent in sorted order) and the
+/// points cleared.
+// advdiag::hot — expands dominated rows back to their member ranks
+fn clear_dominated(
+    rows: &[GroupRow],
+    dominated: &[bool],
+    groups: &BillGroups,
+    alive: &mut BitSet,
+) -> (u64, u64) {
+    let mut classes = 0u64;
+    let mut points = 0u64;
+    let mut prev_pair = None;
+    for (row, &dom) in rows.iter().zip(dominated) {
+        if !dom {
+            continue;
+        }
+        let pair = (row.cost.to_bits(), row.margin.to_bits());
+        if prev_pair != Some(pair) {
+            classes += 1;
+            prev_pair = Some(pair);
+        }
+        for &offset in groups.members(row.group as usize) {
+            alive.clear(row.base + offset);
+            points += 1;
+        }
+    }
+    (classes, points)
 }
 
 fn bucketize(map: BTreeMap<RejectReason, (u64, u64)>) -> Vec<RejectBucket> {
@@ -330,39 +468,30 @@ impl<'a> RunCtx<'a> {
         let budget_s = self.spec.session_budget.value();
         let (classes_evaluated, rejects) = match pass {
             PassId::LodFeasibility => {
-                sweep_and_mark(
-                    &sz,
-                    Some(&t.margins),
-                    None,
-                    None,
-                    budget_s,
-                    &mut state.alive,
-                );
-                let fiber = (sz.s * sz.pf) as u64;
-                let mut buckets = BTreeMap::new();
-                for (m, culprit) in t.margins.iter().zip(&t.lod_culprits) {
-                    if *m < 1.0 {
-                        let analyte = culprit.ok_or(ExploreError::Internal {
-                            what: "infeasible margin class with no culprit",
-                        })?;
-                        let e = buckets
-                            .entry(RejectReason::LodAboveRequirement { analyte })
-                            .or_insert((0, 0));
-                        e.0 += 1;
-                        e.1 += fiber;
+                let mut pattern = vec![0u64; (sz.os * sz.ar).div_ceil(64)];
+                clear_lod(&sz, &t.margins, &mut pattern, &mut state.alive);
+                let mut counts: Vec<(Analyte, u64)> = Vec::new();
+                for target in self.spec.panel.targets() {
+                    if !counts.iter().any(|(a, _)| *a == target.analyte) {
+                        counts.push((target.analyte, 0));
                     }
                 }
+                count_lod_culprits(&t.margins, &t.lod_culprits, &mut counts)?;
+                let fiber = (sz.s * sz.pf) as u64;
+                let buckets = counts
+                    .into_iter()
+                    .filter(|&(_, classes)| classes > 0)
+                    .map(|(analyte, classes)| {
+                        (
+                            RejectReason::LodAboveRequirement { analyte },
+                            (classes, classes * fiber),
+                        )
+                    })
+                    .collect();
                 (sz.margin_classes() as u64, bucketize(buckets))
             }
             PassId::AfeRange => {
-                sweep_and_mark(
-                    &sz,
-                    None,
-                    Some(&t.afe_culprits),
-                    None,
-                    budget_s,
-                    &mut state.alive,
-                );
+                clear_afe(&sz, &t.afe_culprits, &mut state.alive);
                 let fiber = (sz.s * sz.ch * sz.cd * sz.pf * sz.os * sz.ar) as u64;
                 let mut buckets = BTreeMap::new();
                 for c in t.afe_culprits.iter().flatten() {
@@ -375,7 +504,7 @@ impl<'a> RunCtx<'a> {
                 (sz.afe_classes() as u64, bucketize(buckets))
             }
             PassId::SessionSchedule => {
-                sweep_and_mark(&sz, None, None, Some(&t.times), budget_s, &mut state.alive);
+                clear_schedule(&sz, &t.times, budget_s, &mut state.alive);
                 let fiber = (sz.n * sz.ch * sz.ab * sz.ar) as u64;
                 let mut buckets = BTreeMap::new();
                 for s in 0..sz.s {
@@ -404,37 +533,21 @@ impl<'a> RunCtx<'a> {
             PassId::Dominance => {
                 // Dominance re-derives feasibility from the tables, never
                 // from the alive set, so its verdicts do not depend on
-                // which passes ran before it.
-                let feasible = count_feasible(t, budget_s);
-                let mut rows = vec![(0.0f64, 0.0f64, 0u64); feasible];
-                let cursor = fill_feasible(t, budget_s, &mut rows);
-                if cursor != rows.len() {
-                    return Err(ExploreError::Internal {
-                        what: "feasible count and fill cursor disagree",
-                    });
-                }
+                // which passes ran before it. It ranks one row per
+                // feasible (margin class, bill group): a verdict reads
+                // only the (cost, margin) pair, which every member of the
+                // row shares.
+                let mut rows = Vec::new();
+                fill_group_rows(t, budget_s, &mut rows);
                 rows.sort_unstable_by(|a, b| {
-                    a.0.total_cmp(&b.0)
-                        .then(b.1.total_cmp(&a.1))
-                        .then(a.2.cmp(&b.2))
+                    a.cost
+                        .total_cmp(&b.cost)
+                        .then(b.margin.total_cmp(&a.margin))
                 });
                 let mut dominated = vec![false; rows.len()];
                 mark_dominated(&rows, &mut dominated);
-
-                let mut points = 0u64;
-                let mut classes = 0u64;
-                let mut prev_pair = None;
-                for (row, dom) in rows.iter().zip(dominated.iter()) {
-                    if *dom {
-                        state.alive.clear(row.2);
-                        points += 1;
-                        let pair = (row.0.to_bits(), row.1.to_bits());
-                        if prev_pair != Some(pair) {
-                            classes += 1;
-                            prev_pair = Some(pair);
-                        }
-                    }
-                }
+                let (classes, points) =
+                    clear_dominated(&rows, &dominated, &t.groups, &mut state.alive);
                 let evaluated = (sz.margin_classes()
                     + sz.afe_classes()
                     + sz.time_classes()
@@ -514,8 +627,49 @@ mod tests {
         b.clear(69);
         b.clear(69);
         assert_eq!(b.count(), 68);
-        assert!(!b.get(0) && !b.get(69) && b.get(1));
-        assert_eq!(b.iter_set().count(), 68);
+        let set: Vec<u64> = b.iter_set().collect();
+        assert_eq!(set, (1..69).collect::<Vec<u64>>());
+    }
+
+    /// The word-at-a-time clears agree with clearing bit by bit, at every
+    /// alignment and across word boundaries.
+    #[test]
+    fn run_and_pattern_clears_match_bitwise_clears() {
+        let len = 300u64;
+        for start in [0u64, 1, 37, 63, 64, 65, 127, 130] {
+            for run in [0u64, 1, 5, 63, 64, 65, 100, 150] {
+                if start + run > len {
+                    continue;
+                }
+                let mut fast = BitSet::all_set(len);
+                fast.clear_run(start, run);
+                let mut slow = BitSet::all_set(len);
+                for i in start..start + run {
+                    slow.clear(i);
+                }
+                assert_eq!(fast, slow, "run start={start} len={run}");
+
+                // A sparse pattern over the same run: every third bit.
+                let mut pattern = vec![0u64; run.div_ceil(64) as usize];
+                let mut slow = BitSet::all_set(len);
+                for k in (0..run).step_by(3) {
+                    pattern[(k >> 6) as usize] |= 1 << (k & 63);
+                    slow.clear(start + k);
+                }
+                let mut fast = BitSet::all_set(len);
+                fast.clear_pattern(start, &pattern);
+                assert_eq!(fast, slow, "pattern start={start} len={run}");
+            }
+        }
+    }
+
+    fn row(cost: f64, margin: f64, base: u64) -> GroupRow {
+        GroupRow {
+            cost,
+            margin,
+            base,
+            group: 0,
+        }
     }
 
     #[test]
@@ -523,24 +677,28 @@ mod tests {
         // Sorted by (cost asc, margin desc): rows 0,1 tie exactly; row 2 is
         // equal-cost but lower margin; row 3 is costlier with lower margin;
         // row 4 is costlier but higher margin (survives).
-        let rows: [(f64, f64, u64); 5] = [
-            (1.0, 5.0, 0),
-            (1.0, 5.0, 1),
-            (1.0, 4.0, 2),
-            (2.0, 4.5, 3),
-            (2.0, 6.0, 4),
+        let mut rows = [
+            row(1.0, 5.0, 0),
+            row(1.0, 5.0, 1),
+            row(1.0, 4.0, 2),
+            row(2.0, 4.5, 3),
+            row(2.0, 6.0, 4),
         ];
         // Re-sort per contract (margin desc within cost).
-        let mut rows = rows;
-        rows.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
+        rows.sort_unstable_by(|a, b| {
+            a.cost
+                .total_cmp(&b.cost)
+                .then(b.margin.total_cmp(&a.margin))
+        });
         let mut dom = [false; 5];
         mark_dominated(&rows, &mut dom);
-        let surviving: Vec<u64> = rows
+        let mut surviving: Vec<u64> = rows
             .iter()
             .zip(dom.iter())
             .filter(|(_, d)| !**d)
-            .map(|(r, _)| r.2)
+            .map(|(r, _)| r.base)
             .collect();
+        surviving.sort_unstable();
         assert_eq!(surviving, vec![0, 1, 4]);
     }
 

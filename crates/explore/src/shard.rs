@@ -294,7 +294,7 @@ mod tests {
     fn replay_is_bit_identical_and_reattaches_ranks() {
         let spec = tiny_spec();
         let cx = PanelContext::for_spec(&spec).expect("context");
-        let tables = ClassTables::build(&spec, &cx).expect("tables");
+        let tables = ClassTables::build(&spec, &cx, ExecPolicy::Sequential).expect("tables");
         let p = spec.space.point_at(3).expect("point");
         let shard = Shard {
             nanostructure: p.base.nanostructure,

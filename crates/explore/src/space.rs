@@ -73,7 +73,38 @@ pub(crate) struct AxisSizes {
     pub ar: usize,
 }
 
+/// Row-major rank strides of the seven outer axes; area's stride is 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Strides {
+    pub n: u64,
+    pub s: u64,
+    pub ch: u64,
+    pub cd: u64,
+    pub ab: u64,
+    pub pf: u64,
+    pub os: u64,
+}
+
 impl AxisSizes {
+    pub(crate) fn strides(&self) -> Strides {
+        let os = self.ar as u64;
+        let pf = os * self.os as u64;
+        let ab = pf * self.pf as u64;
+        let cd = ab * self.ab as u64;
+        let ch = cd * self.cd as u64;
+        let s = ch * self.ch as u64;
+        let n = s * self.s as u64;
+        Strides {
+            n,
+            s,
+            ch,
+            cd,
+            ab,
+            pf,
+            os,
+        }
+    }
+
     pub(crate) fn total(&self) -> u64 {
         self.n as u64
             * self.s as u64
@@ -440,6 +471,16 @@ mod tests {
                 .position(|&v| v == p.area_pct)
                 .expect("axis");
             assert_eq!(sz.rank(n, s, ch, cd, ab, pf, os, ar), r);
+            let st = sz.strides();
+            let by_strides = n as u64 * st.n
+                + s as u64 * st.s
+                + ch as u64 * st.ch
+                + cd as u64 * st.cd
+                + ab as u64 * st.ab
+                + pf as u64 * st.pf
+                + os as u64 * st.os
+                + ar as u64;
+            assert_eq!(by_strides, r);
             let i = sz.decode(r).expect("in range");
             assert_eq!((i.n, i.s, i.ch, i.cd), (n, s, ch, cd));
             assert_eq!((i.ab, i.pf, i.os, i.ar), (ab, pf, os, ar));

@@ -150,7 +150,7 @@ proptest! {
             prop_assert!(explore(&spec, ExecPolicy::Sequential).is_err());
             return Ok(());
         };
-        let tables = match ClassTables::build(&spec, &cx) {
+        let tables = match ClassTables::build(&spec, &cx, ExecPolicy::Sequential) {
             Ok(tables) => tables,
             Err(e) => {
                 // A target without a calibration row: the per-point closed

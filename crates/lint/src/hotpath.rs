@@ -72,7 +72,10 @@ pub const HOT_ROOTS: &[(&str, Level)] = &[
     ("simulate_chrono_fleet", Level::Warm),
     ("step_wave", Level::PerIter),
     ("step_active", Level::PerIter),
-    ("sweep_and_mark", Level::PerIter),
+    ("clear_lod", Level::PerIter),
+    ("clear_afe", Level::PerIter),
+    ("clear_schedule", Level::PerIter),
+    ("fill_group_rows", Level::PerIter),
 ];
 
 /// The server's shard stepping loop: the reachability root for H3.
