@@ -19,14 +19,17 @@
 //! bit patterns of `dt`/`window`/`seed` for self-tests, and the full
 //! `(Analyte, DesignPoint)` value for LODs — so a hit can only ever return
 //! the value the miss path would have computed. Only successful results
-//! are cached; errors always re-run. Caches are process-global,
-//! mutex-guarded, capped (wholesale clear on overflow, like the solver
-//! cache), and clearable via [`clear_memo_caches`] so benchmarks can time
-//! cold paths honestly.
+//! are cached; errors always re-run. Both caches and their hit/miss
+//! counters live in one [`Memo`]; production code uses a single
+//! process-global instance, mutex-guarded, capped (wholesale clear on
+//! overflow, like the solver cache), and clearable via
+//! [`clear_memo_caches`] so benchmarks can time cold paths honestly.
+//! Tests that assert exact counts use private instances, so no other
+//! test's traffic can reach their counters.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use bios_afe::{AfeError, ReadoutChain};
 use bios_biochem::Analyte;
@@ -47,49 +50,120 @@ struct TraceKey {
     seed: u64,
 }
 
-fn trace_cache() -> &'static Mutex<BTreeMap<TraceKey, f64>> {
-    static CACHE: OnceLock<Mutex<BTreeMap<TraceKey, f64>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// The self-test trace and LOD caches with their shared hit/miss
+/// counters.
+#[derive(Debug)]
+pub(crate) struct Memo {
+    traces: Mutex<BTreeMap<TraceKey, f64>>,
+    lods: Mutex<BTreeMap<(Analyte, DesignPoint), f64>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
-fn lod_cache() -> &'static Mutex<BTreeMap<(Analyte, DesignPoint), f64>> {
-    static CACHE: OnceLock<Mutex<BTreeMap<(Analyte, DesignPoint), f64>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// The process-wide memo every production call goes through.
+static GLOBAL: Memo = Memo::new();
+
+impl Memo {
+    pub(crate) const fn new() -> Self {
+        Self {
+            traces: Mutex::new(BTreeMap::new()),
+            lods: Mutex::new(BTreeMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// The cached value under `key`, or `compute()` entered under it on a
+    /// miss. Only `Ok` results are cached.
+    fn get_or_compute<K: Ord, E>(
+        &self,
+        cache: &Mutex<BTreeMap<K, f64>>,
+        key: K,
+        compute: impl FnOnce() -> Result<f64, E>,
+    ) -> Result<f64, E> {
+        if let Ok(cache) = cache.lock() {
+            if let Some(&v) = cache.get(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(v);
+            }
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = compute()?;
+        if let Ok(mut cache) = cache.lock() {
+            if cache.len() >= CACHE_CAP {
+                cache.clear();
+            }
+            cache.insert(key, value);
+        }
+        Ok(value)
+    }
+
+    /// Memoized [`ReadoutChain::self_test_response`]. Bit-identical to the
+    /// direct call: the trace is deterministic in `(chain, dt, window,
+    /// seed)` and the cache key captures all four exactly.
+    pub(crate) fn self_test_response(
+        &self,
+        chain: &ReadoutChain,
+        dt: Seconds,
+        window: Seconds,
+        seed: u64,
+    ) -> Result<Amps, AfeError> {
+        let key = TraceKey {
+            chain: chain.content_hash(),
+            dt_bits: dt.value().to_bits(),
+            window_bits: window.value().to_bits(),
+            seed,
+        };
+        self.get_or_compute(&self.traces, key, || {
+            chain
+                .self_test_response(dt, window, seed)
+                .map(|a| a.value())
+        })
+        .map(Amps::new)
+    }
+
+    /// Memoized LOD prediction: `compute` runs only on a miss.
+    pub(crate) fn predict_lod<E>(
+        &self,
+        target: Analyte,
+        point: &DesignPoint,
+        compute: impl FnOnce() -> Result<Molar, E>,
+    ) -> Result<Molar, E> {
+        self.get_or_compute(&self.lods, (target, *point), || {
+            compute().map(|m| m.value())
+        })
+        .map(Molar::new)
+    }
+
+    /// Empties both caches and zeroes the counters.
+    pub(crate) fn clear(&self) {
+        if let Ok(mut c) = self.traces.lock() {
+            c.clear();
+        }
+        if let Ok(mut c) = self.lods.lock() {
+            c.clear();
+        }
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
+    }
+
+    /// `(hits, misses)` since the last [`Memo::clear`].
+    pub(crate) fn stats(&self) -> (u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
+    }
 }
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Memoized [`ReadoutChain::self_test_response`]. Bit-identical to the
-/// direct call: the trace is deterministic in `(chain, dt, window, seed)`
-/// and the cache key captures all four exactly.
+/// Memoized [`ReadoutChain::self_test_response`] through the global memo.
 pub(crate) fn self_test_response(
     chain: &ReadoutChain,
     dt: Seconds,
     window: Seconds,
     seed: u64,
 ) -> Result<Amps, AfeError> {
-    let key = TraceKey {
-        chain: chain.content_hash(),
-        dt_bits: dt.value().to_bits(),
-        window_bits: window.value().to_bits(),
-        seed,
-    };
-    if let Ok(cache) = trace_cache().lock() {
-        if let Some(&v) = cache.get(&key) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return Ok(Amps::new(v));
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let value = chain.self_test_response(dt, window, seed)?;
-    if let Ok(mut cache) = trace_cache().lock() {
-        if cache.len() >= CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, value.value());
-    }
-    Ok(value)
+    GLOBAL.self_test_response(chain, dt, window, seed)
 }
 
 /// Memoized wrapper used by [`crate::explore::predict_lod`]. `compute`
@@ -99,42 +173,20 @@ pub(crate) fn predict_lod_cached<E>(
     point: &DesignPoint,
     compute: impl FnOnce() -> Result<Molar, E>,
 ) -> Result<Molar, E> {
-    let key = (target, *point);
-    if let Ok(cache) = lod_cache().lock() {
-        if let Some(&v) = cache.get(&key) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return Ok(Molar::new(v));
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let value = compute()?;
-    if let Ok(mut cache) = lod_cache().lock() {
-        if cache.len() >= CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, value.value());
-    }
-    Ok(value)
+    GLOBAL.predict_lod(target, point, compute)
 }
 
 /// Empties both memo caches (self-test traces and LOD predictions) and
 /// zeroes the hit/miss counters. Benchmarks call this between runs so
 /// cold-path timings stay honest.
 pub fn clear_memo_caches() {
-    if let Ok(mut c) = trace_cache().lock() {
-        c.clear();
-    }
-    if let Ok(mut c) = lod_cache().lock() {
-        c.clear();
-    }
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
+    GLOBAL.clear();
 }
 
 /// `(hits, misses)` across both memo caches since the last
 /// [`clear_memo_caches`].
 pub fn memo_stats() -> (u64, u64) {
-    (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
+    GLOBAL.stats()
 }
 
 #[cfg(test)]
@@ -148,49 +200,59 @@ mod tests {
 
     #[test]
     fn memoized_trace_matches_direct_call() {
-        clear_memo_caches();
+        let memo = Memo::new();
         let c = chain();
         let dt = Seconds::new(0.1);
         let window = Seconds::new(2.0);
         let direct = c.self_test_response(dt, window, 7).expect("direct");
-        let first = self_test_response(&c, dt, window, 7).expect("miss path");
-        let second = self_test_response(&c, dt, window, 7).expect("hit path");
+        let first = memo
+            .self_test_response(&c, dt, window, 7)
+            .expect("miss path");
+        let second = memo
+            .self_test_response(&c, dt, window, 7)
+            .expect("hit path");
         assert_eq!(direct.value().to_bits(), first.value().to_bits());
         assert_eq!(direct.value().to_bits(), second.value().to_bits());
-        let (hits, misses) = memo_stats();
+        let (hits, misses) = memo.stats();
         assert_eq!((hits, misses), (1, 1));
     }
 
     #[test]
     fn distinct_seeds_do_not_collide() {
-        clear_memo_caches();
+        let memo = Memo::new();
         let c = chain();
         let dt = Seconds::new(0.1);
         let window = Seconds::new(2.0);
         // Different seeds, windows and chains are distinct cache keys:
         // each first call is a miss, never a (wrong) hit.
-        let a = self_test_response(&c, dt, window, 1).expect("seed 1");
-        let _ = self_test_response(&c, dt, window, 2).expect("seed 2");
-        let _ = self_test_response(&c, dt, Seconds::new(4.0), 1).expect("window");
+        let a = memo.self_test_response(&c, dt, window, 1).expect("seed 1");
+        let _ = memo.self_test_response(&c, dt, window, 2).expect("seed 2");
+        let _ = memo
+            .self_test_response(&c, dt, Seconds::new(4.0), 1)
+            .expect("window");
         let chopped = ReadoutChain::new(c.config().with_chopper());
-        let _ = self_test_response(&chopped, dt, window, 1).expect("chain");
-        assert_eq!(memo_stats(), (0, 4), "four distinct keys, four misses");
-        let a_again = self_test_response(&c, dt, window, 1).expect("seed 1 again");
+        let _ = memo
+            .self_test_response(&chopped, dt, window, 1)
+            .expect("chain");
+        assert_eq!(memo.stats(), (0, 4), "four distinct keys, four misses");
+        let a_again = memo
+            .self_test_response(&c, dt, window, 1)
+            .expect("seed 1 again");
         assert_eq!(a.value().to_bits(), a_again.value().to_bits());
-        assert_eq!(memo_stats(), (1, 4), "repeat is a hit");
+        assert_eq!(memo.stats(), (1, 4), "repeat is a hit");
     }
 
     #[test]
     fn clear_resets_counters_and_forces_recompute() {
-        clear_memo_caches();
+        let memo = Memo::new();
         let c = chain();
         let dt = Seconds::new(0.1);
         let window = Seconds::new(2.0);
-        let _ = self_test_response(&c, dt, window, 3);
-        let _ = self_test_response(&c, dt, window, 3);
-        clear_memo_caches();
-        assert_eq!(memo_stats(), (0, 0));
-        let _ = self_test_response(&c, dt, window, 3);
-        assert_eq!(memo_stats(), (0, 1), "recompute after clear is a miss");
+        let _ = memo.self_test_response(&c, dt, window, 3);
+        let _ = memo.self_test_response(&c, dt, window, 3);
+        memo.clear();
+        assert_eq!(memo.stats(), (0, 0));
+        let _ = memo.self_test_response(&c, dt, window, 3);
+        assert_eq!(memo.stats(), (0, 1), "recompute after clear is a miss");
     }
 }
