@@ -1,15 +1,16 @@
 //! Property-based tests pinning the class-factored pipeline to per-point
 //! ground truth: every class-table entry against the per-point closed
-//! forms, exact-frontier-vs-brute-force on random subsampled spaces,
-//! pass-order independence, exec-policy independence, and the bit-coupling
-//! of the surrogate to the core analytic model.
+//! forms, exact-frontier-vs-brute-force on random subsampled spaces, the
+//! Dominated bucket against per-point counts (tie-heavy single-target
+//! panels included), pass-order independence, exec-policy independence,
+//! and the bit-coupling of the surrogate to the core analytic model.
 
 use bios_biochem::Analyte;
 use bios_electrochem::Nanostructure;
 use bios_explore::{
-    afe_incompatibility, brute_force_band, cost_scalar, explore, explore_with_manager,
-    session_time_s, surrogate_lod, worst_margin, ClassTables, ExplorePoint, ExploreSpace,
-    ExploreSpec, PanelContext, PassId, PassManager,
+    afe_incompatibility, brute_force_band, cost_scalar, evaluate_static, explore,
+    explore_with_manager, session_time_s, surrogate_lod, worst_margin, ClassTables, ExploreOutcome,
+    ExplorePoint, ExploreSpace, ExploreSpec, PanelContext, PassId, PassManager, RejectReason,
 };
 use bios_platform::{
     predict_lod, required_lod, DesignPoint, ExecPolicy, PanelSpec, ProbePreference, ReadoutSharing,
@@ -17,6 +18,7 @@ use bios_platform::{
 };
 use bios_units::Seconds;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const SENSABLE: [Analyte; 8] = [
     Analyte::Glucose,
@@ -109,6 +111,66 @@ fn arbitrary_spec() -> impl Strategy<Value = ExploreSpec> {
         space,
         session_budget: Seconds::new([300.0, 1800.0, 7200.0][b]),
     })
+}
+
+/// A single-target panel over a space with both sharing options and all
+/// three preferences: on one working electrode, sharing and preference
+/// often give bit-identical bills, so many points share each
+/// `(cost, margin)` pair.
+fn tie_heavy_spec() -> impl Strategy<Value = ExploreSpec> {
+    (0usize..SENSABLE.len(), arbitrary_spec()).prop_map(|(t, spec)| ExploreSpec {
+        panel: [TargetSpec::typical(SENSABLE[t])].into_iter().collect(),
+        space: ExploreSpace {
+            sharing: vec![ReadoutSharing::Shared, ReadoutSharing::Dedicated],
+            preferences: vec![
+                ProbePreference::MinimizeElectrodes,
+                ProbePreference::PreferOxidase,
+                ProbePreference::PreferCytochrome,
+            ],
+            ..spec.space
+        },
+        ..spec
+    })
+}
+
+/// The Dominated bucket computed per point, the way
+/// [`brute_force_band`] evaluates the space: `(distinct dominated
+/// (cost, margin) bit pairs, dominated points)`, where a dominated point
+/// is a feasible point outside the band.
+fn per_point_dominated(spec: &ExploreSpec, band: &[(u64, f64, f64)]) -> (u64, u64) {
+    let cx = PanelContext::for_spec(spec).expect("context");
+    let in_band: BTreeSet<u64> = band.iter().map(|&(rank, _, _)| rank).collect();
+    let budget_s = spec.session_budget.value();
+    let mut pairs = BTreeSet::new();
+    let mut points = 0u64;
+    for (rank, point) in spec.space.iter().enumerate() {
+        let sk = cx
+            .skeleton(point.base.preference, point.base.sharing, point.base.cds)
+            .expect("skeleton");
+        let eval = evaluate_static(&spec.panel, &sk, budget_s, &point).expect("static eval");
+        if eval.reject.is_none() && !in_band.contains(&(rank as u64)) {
+            points += 1;
+            pairs.insert((eval.cost.to_bits(), eval.margin.to_bits()));
+        }
+    }
+    (pairs.len() as u64, points)
+}
+
+/// The Dominance pass's `(classes, points)`; `(0, 0)` without a bucket.
+fn dominated_bucket(outcome: &ExploreOutcome) -> (u64, u64) {
+    let report = outcome
+        .reports
+        .iter()
+        .find(|r| r.pass == PassId::Dominance.name())
+        .expect("dominance ran");
+    match report.rejects.as_slice() {
+        [] => (0, 0),
+        [bucket] => {
+            assert_eq!(bucket.reason, RejectReason::Dominated);
+            (bucket.classes, bucket.points)
+        }
+        more => panic!("dominance has {} buckets", more.len()),
+    }
 }
 
 /// The `k`-th permutation of the four passes (factorial number system).
@@ -231,6 +293,29 @@ proptest! {
         );
     }
 
+    /// The Dominated bucket equals its per-point definition: `points` is
+    /// feasible minus band, `classes` the distinct dominated `(cost,
+    /// margin)` bit pairs — on random spaces and on tie-heavy
+    /// single-target ones, where sharing and preference give
+    /// bit-identical bills.
+    #[test]
+    fn dominated_bucket_matches_per_point_counts(
+        random in arbitrary_spec(),
+        tied in tie_heavy_spec(),
+    ) {
+        for spec in [random, tied] {
+            if spec.space.len() > 4096 {
+                continue;
+            }
+            let Ok(outcome) = explore(&spec, ExecPolicy::Sequential) else {
+                prop_assert!(brute_force_band(&spec).is_err());
+                continue;
+            };
+            let oracle = brute_force_band(&spec).expect("oracle");
+            prop_assert_eq!(dominated_bucket(&outcome), per_point_dominated(&spec, &oracle));
+        }
+    }
+
     /// Any permutation of the pruning passes yields the same surviving set
     /// and the same frontier digest.
     #[test]
@@ -315,4 +400,28 @@ proptest! {
             }
         }
     }
+}
+
+/// On a glucose-only panel every `(sharing, preference)` pair of a
+/// `(chopper, cds, adc_bits)` class prices the same, so dominated points
+/// outnumber their distinct `(cost, margin)` pairs; the bucket still
+/// equals the per-point count.
+#[test]
+fn single_target_ties_are_counted_by_multiplicity() {
+    let mut spec = ExploreSpec::standard(
+        [TargetSpec::typical(Analyte::Glucose)]
+            .into_iter()
+            .collect(),
+    );
+    spec.space.adc_bits = vec![12, 16];
+    spec.space.oversampling = vec![1, 8];
+    spec.space.area_pct = vec![50, 100, 200];
+    let outcome = explore(&spec, ExecPolicy::Sequential).expect("explore");
+    let oracle = brute_force_band(&spec).expect("oracle");
+    let (classes, points) = dominated_bucket(&outcome);
+    assert_eq!((classes, points), per_point_dominated(&spec, &oracle));
+    assert!(
+        points > classes,
+        "{points} dominated points in {classes} pairs"
+    );
 }
