@@ -136,7 +136,7 @@ impl Memo {
     }
 
     /// Empties both caches and zeroes the counters.
-    pub(crate) fn clear(&self) {
+    pub(crate) fn clear_caches(&self) {
         if let Ok(mut c) = self.traces.lock() {
             c.clear();
         }
@@ -147,7 +147,7 @@ impl Memo {
         self.misses.store(0, Ordering::Relaxed);
     }
 
-    /// `(hits, misses)` since the last [`Memo::clear`].
+    /// `(hits, misses)` since the last [`Memo::clear_caches`].
     pub(crate) fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -180,7 +180,7 @@ pub(crate) fn predict_lod_cached<E>(
 /// zeroes the hit/miss counters. Benchmarks call this between runs so
 /// cold-path timings stay honest.
 pub fn clear_memo_caches() {
-    GLOBAL.clear();
+    GLOBAL.clear_caches();
 }
 
 /// `(hits, misses)` across both memo caches since the last
@@ -250,7 +250,7 @@ mod tests {
         let window = Seconds::new(2.0);
         let _ = memo.self_test_response(&c, dt, window, 3);
         let _ = memo.self_test_response(&c, dt, window, 3);
-        memo.clear();
+        memo.clear_caches();
         assert_eq!(memo.stats(), (0, 0));
         let _ = memo.self_test_response(&c, dt, window, 3);
         assert_eq!(memo.stats(), (0, 1), "recompute after clear is a miss");
