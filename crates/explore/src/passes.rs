@@ -20,6 +20,24 @@
 //!    rejections by reason with class and point counts, so a run reads
 //!    like a lint report: what was proven, about how much, from how few
 //!    premises.
+//!
+//! The work is class-granular end to end; nothing visits points one by
+//! one:
+//!
+//! * **Mask sweeps.** A fiber is a set of bit runs in rank order, so the
+//!   feasibility passes clear the alive bitmap a run or a word at a time:
+//!   an AFE class `(n, ab)` is one run of `pf × os × ar` ranks per
+//!   `(s, ch, cd)`, a schedule class one run of `ar` ranks per
+//!   `(n, ch, ab)`, and the LOD pass turns the `os × ar` margins of one
+//!   `(n, ch, cd, ab)` into one bit pattern cleared from each `(s, pf)`
+//!   run.
+//! * **Dominance over bill-group rows.** Points of one margin class whose
+//!   `(sharing, preference)` give bit-identical bills share cost and
+//!   margin bits, so Dominance ranks one row per feasible
+//!   `(margin class, bill group)` (see [`ClassTables`]) and expands
+//!   dominated rows back to their member ranks. A verdict reads only the
+//!   `(cost, margin)` pair, so this is exact; the Dominated bucket counts
+//!   points by multiplicity and classes as distinct pairs.
 
 use std::collections::BTreeMap;
 
