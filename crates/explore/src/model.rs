@@ -216,7 +216,7 @@ impl Bill {
     }
 
     /// The scalar cost at one oversampling factor and area scale.
-    // advdiag::hot — per-point pricing kernel of the dominance sweep
+    // advdiag::hot — per-row pricing kernel of the dominance sweep
     pub(crate) fn priced(&self, oversampling: u16, area_scale: f64) -> f64 {
         let sk = &self.skeleton;
         PlatformCost::from_electronics(

@@ -148,17 +148,15 @@ fn margin_and_culprit(terms: &[TargetTerms], point: &ExplorePoint) -> (f64, Opti
     (worst, culprit)
 }
 
-/// Nanostructure `n`'s block of the margin and LOD-culprit tables, in
-/// `margin_class` order. Sharing and preference are fibered out (the LOD
-/// surrogate never reads them): their first values stand in for all.
+/// One nanostructure's margins and LOD culprits, in `margin_class` order.
+type MarginBlock = (Vec<f64>, Vec<Option<Analyte>>);
+
+/// Nanostructure `n`'s block of the margin and LOD-culprit tables.
+/// Sharing and preference are fibered out (the LOD surrogate never reads
+/// them): their first values stand in for all.
 // advdiag::cold(one nanostructure's block of the margin table: allocates the
 // block once, one call per nanostructure per query)
-#[allow(clippy::type_complexity)]
-fn margin_block(
-    spec: &ExploreSpec,
-    sz: AxisSizes,
-    n: usize,
-) -> Result<(Vec<f64>, Vec<Option<Analyte>>), ExploreError> {
+fn margin_block(spec: &ExploreSpec, sz: AxisSizes, n: usize) -> Result<MarginBlock, ExploreError> {
     let block = sz.margin_classes() / sz.n;
     let mut margins = Vec::with_capacity(block);
     let mut culprits = Vec::with_capacity(block);
@@ -269,7 +267,6 @@ impl ClassTables {
 
     /// Bill class `bill` priced at oversampling index `os` and area index
     /// `ar`.
-    // advdiag::hot — per-row pricing kernel of the dominance sweep
     pub(crate) fn priced(&self, bill: usize, os: usize, ar: usize) -> f64 {
         self.bills[bill].priced(self.oversampling[os], self.area_scales[ar])
     }
