@@ -338,8 +338,8 @@ proptest! {
         prop_assert_eq!(standard.statically_rejected, permuted.statically_rejected);
     }
 
-    /// Exec policy never changes the answer: the shard merge is
-    /// bit-identical for any thread count.
+    /// Exec policy never changes the answer: the margin-table and shard
+    /// merges are bit-identical for any thread count.
     #[test]
     fn exec_policy_is_irrelevant(spec in arbitrary_spec()) {
         if spec.space.len() > 4096 {
@@ -352,6 +352,9 @@ proptest! {
         let par = explore(&spec, ExecPolicy::Threads(2)).expect("threads run");
         prop_assert_eq!(seq.frontier_digest, par.frontier_digest);
         prop_assert_eq!(&seq.band, &par.band);
+        // The margin table is built under the policy too: every report
+        // must agree, not only the band.
+        prop_assert_eq!(&seq.reports, &par.reports);
     }
 
     /// At the reference coordinates (oversampling 1, area 100%) the
