@@ -9,10 +9,8 @@
 //! digests agree iff every float in both results is bit-identical.
 
 use bios_electrochem::{clear_solver_cache, solver_cache_stats};
-use bios_platform::{
-    clear_memo_caches, explore_with, memo_stats, par_map, DesignSpace, ExecPolicy, PanelSpec,
-    SessionOptions,
-};
+use bios_explore::{clear_explore_cache, explore, ExploreSpec};
+use bios_platform::{clear_memo_caches, memo_stats, par_map, ExecPolicy, SessionOptions};
 use criterion::measure;
 
 /// Seeds for the session-batch workload: one full Fig. 4 session each.
@@ -149,6 +147,7 @@ fn time_workload<T: std::fmt::Debug>(
     let cold = |p: ExecPolicy| {
         clear_solver_cache();
         clear_memo_caches();
+        clear_explore_cache();
         run(p)
     };
     let digest_sequential = digest_debug(&cold(ExecPolicy::Sequential));
@@ -170,8 +169,10 @@ fn time_workload<T: std::fmt::Debug>(
 pub fn run(policy: ExecPolicy) -> PerfReport {
     let platform = crate::fig4::build_platform();
     let sample = crate::fig4::reference_sample();
-    let panel = PanelSpec::paper_fig4();
-    let space = DesignSpace::paper_default();
+    let explore_specs: Vec<ExploreSpec> = crate::explore::panels()
+        .into_iter()
+        .map(|(_, panel)| ExploreSpec::standard(panel))
+        .collect();
 
     // Workload 1: a batch of independent full sessions (seeds fan out;
     // electrodes inside each session stay sequential — batch-level
@@ -186,9 +187,13 @@ pub fn run(policy: ExecPolicy) -> PerfReport {
         })
     });
 
-    // Workload 2: design-space exploration (96 analytic evaluations).
-    let explore = time_workload("explore", space.len(), policy, |p| {
-        explore_with(&panel, &space, p).expect("explore")
+    // Workload 2: the served exploration query — one cold standard-box
+    // `bios-explore` query per BENCH_10 panel, digested by frontier.
+    let explore = time_workload("explore", explore_specs.len(), policy, |p| {
+        explore_specs
+            .iter()
+            .map(|spec| explore(spec, p).expect("a BENCH_10 panel explores").frontier_digest)
+            .collect::<Vec<u64>>()
     });
 
     // Workload 3: the fault matrix (45 cells × seeds, plus baselines).

@@ -89,29 +89,30 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let next = AtomicUsize::new(0);
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            local.push((i, f(i, &items[i])));
+        }
+        local
+    };
+    // The calling thread is one of the workers: it claims units while the
+    // spawned workers start, instead of idling at the join.
     let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, f(i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(local) => local,
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut buckets = Vec::with_capacity(threads);
+        buckets.push(work());
+        for h in handles {
+            match h.join() {
+                Ok(local) => buckets.push(local),
                 Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+            }
+        }
+        buckets
     });
     // Merge by index: scheduling order is irrelevant to the output.
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();

@@ -21,8 +21,8 @@ use bios_units::Molar;
 
 /// One coordinate of the design space.
 ///
-/// All axes are discrete, so the point is `Eq + Hash` and can key caches
-/// (see [`crate::memo`]).
+/// All axes are discrete, so the point is `Eq + Ord + Hash` and can key
+/// maps.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
 )]
@@ -272,15 +272,11 @@ pub fn required_lod(spec: &crate::requirements::TargetSpec) -> Result<Molar, Pla
 /// amplifier flicker term (chopper divides it by [`CHOPPER_SUPPRESSION`])
 /// and the ADC quantization term; sensitivity scales with the
 /// nanostructure's roughness relative to the registry's CNT reference.
-pub fn predict_lod(target: Analyte, point: &DesignPoint) -> Result<Molar, PlatformError> {
-    crate::memo::predict_lod_cached(target, point, || predict_lod_uncached(target, point))
-}
-
-/// The analytic model behind [`predict_lod`] — a pure composition of
-/// [`noise_breakdown`] and [`effective_sensitivity`], which is what makes
-/// the memoized wrapper exact and lets `bios-explore` reproduce it
+///
+/// A pure composition of [`noise_breakdown`] and
+/// [`effective_sensitivity`], which lets `bios-explore` reproduce it
 /// bit-for-bit at its reference coordinates.
-fn predict_lod_uncached(target: Analyte, point: &DesignPoint) -> Result<Molar, PlatformError> {
+pub fn predict_lod(target: Analyte, point: &DesignPoint) -> Result<Molar, PlatformError> {
     let breakdown = noise_breakdown(target, point)?;
     let s_eff = effective_sensitivity(target, point.nanostructure)?;
     Ok(Molar::new(3.0 * breakdown.total() / s_eff))

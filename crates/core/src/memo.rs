@@ -1,45 +1,36 @@
-//! Content-hash memoization for repeated deterministic computations.
+//! Content-hash memoization of BIST self-test traces.
 //!
-//! Two families of work are recomputed verbatim across sessions and
-//! exploration runs:
+//! `ReadoutChain::self_test_response` runs with a *fixed* protocol seed,
+//! so a given (possibly faulted) chain always produces the same figure. A
+//! fault-matrix campaign re-derives the same faulted-chain response on
+//! every one of its ~150 sessions. (The commissioning noise reference
+//! depends only on the fault-free chain, so each `Platform` keeps that
+//! one itself.)
 //!
-//! * **Self-test traces** — `ReadoutChain::self_test_response` runs with
-//!   a *fixed* protocol seed, so a given (possibly faulted) chain always
-//!   produces the same figure. A fault-matrix campaign re-derives the
-//!   same faulted-chain response on every one of its ~150 sessions. (The
-//!   commissioning noise reference depends only on the fault-free chain,
-//!   so each `Platform` keeps that one itself.)
-//! * **LOD predictions** — `predict_lod(target, point)` is a pure function
-//!   of its arguments; exploration calls it once per `(target, point)`
-//!   pair, and repeated exploration (parameter sweeps, benches) repeats
-//!   the whole grid.
-//!
-//! Both caches key on the *content* of the inputs — the chain's
+//! The cache keys on the *content* of the inputs — the chain's
 //! [`content_hash`](bios_afe::ReadoutChain::content_hash) plus the exact
-//! bit patterns of `dt`/`window`/`seed` for self-tests, and the full
-//! `(Analyte, DesignPoint)` value for LODs — so a hit can only ever return
+//! bit patterns of `dt`/`window`/`seed` — so a hit can only ever return
 //! the value the miss path would have computed. Only successful results
-//! are cached; errors always re-run. Both caches and their hit/miss
-//! counters live in one [`Memo`]; production code uses a single
-//! process-global instance, mutex-guarded, capped (wholesale clear on
-//! overflow, like the solver cache), and clearable via
-//! [`clear_memo_caches`] so benchmarks can time cold paths honestly.
-//! Tests that assert exact counts use private instances, so no other
-//! test's traffic can reach their counters.
+//! are cached; errors always re-run. The cache and its hit/miss counters
+//! live in one [`Memo`]; production code uses a single process-global
+//! instance, mutex-guarded, capped (wholesale clear on overflow, like the
+//! solver cache), and clearable via [`clear_memo_caches`] so benchmarks
+//! can time cold paths honestly. Tests that assert exact counts use
+//! private instances, so no other test's traffic can reach their
+//! counters.
+//!
+//! `predict_lod` is not memoized: its closed form costs less than a
+//! locked map lookup, and far less once two threads contend for the lock.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bios_afe::{AfeError, ReadoutChain};
-use bios_biochem::Analyte;
-use bios_units::{Amps, Molar, Seconds};
+use bios_units::{Amps, Seconds};
 
-use crate::explore::DesignPoint;
-
-/// Entries per cache before a wholesale clear (traces and LODs are a few
-/// dozen distinct keys in realistic workloads; the cap only guards
-/// pathological key churn).
+/// Entries before a wholesale clear (traces are a few dozen distinct keys
+/// in realistic workloads; the cap only guards pathological key churn).
 const CACHE_CAP: usize = 4096;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -50,12 +41,10 @@ struct TraceKey {
     seed: u64,
 }
 
-/// The self-test trace and LOD caches with their shared hit/miss
-/// counters.
+/// The self-test trace cache with its hit/miss counters.
 #[derive(Debug)]
 pub(crate) struct Memo {
     traces: Mutex<BTreeMap<TraceKey, f64>>,
-    lods: Mutex<BTreeMap<(Analyte, DesignPoint), f64>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -67,7 +56,6 @@ impl Memo {
     pub(crate) const fn new() -> Self {
         Self {
             traces: Mutex::new(BTreeMap::new()),
-            lods: Mutex::new(BTreeMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -75,13 +63,12 @@ impl Memo {
 
     /// The cached value under `key`, or `compute()` entered under it on a
     /// miss. Only `Ok` results are cached.
-    fn get_or_compute<K: Ord, E>(
+    fn get_or_compute<E>(
         &self,
-        cache: &Mutex<BTreeMap<K, f64>>,
-        key: K,
+        key: TraceKey,
         compute: impl FnOnce() -> Result<f64, E>,
     ) -> Result<f64, E> {
-        if let Ok(cache) = cache.lock() {
+        if let Ok(cache) = self.traces.lock() {
             if let Some(&v) = cache.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(v);
@@ -89,7 +76,7 @@ impl Memo {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let value = compute()?;
-        if let Ok(mut cache) = cache.lock() {
+        if let Ok(mut cache) = self.traces.lock() {
             if cache.len() >= CACHE_CAP {
                 cache.clear();
             }
@@ -114,7 +101,7 @@ impl Memo {
             window_bits: window.value().to_bits(),
             seed,
         };
-        self.get_or_compute(&self.traces, key, || {
+        self.get_or_compute(key, || {
             chain
                 .self_test_response(dt, window, seed)
                 .map(|a| a.value())
@@ -122,32 +109,16 @@ impl Memo {
         .map(Amps::new)
     }
 
-    /// Memoized LOD prediction: `compute` runs only on a miss.
-    pub(crate) fn predict_lod<E>(
-        &self,
-        target: Analyte,
-        point: &DesignPoint,
-        compute: impl FnOnce() -> Result<Molar, E>,
-    ) -> Result<Molar, E> {
-        self.get_or_compute(&self.lods, (target, *point), || {
-            compute().map(|m| m.value())
-        })
-        .map(Molar::new)
-    }
-
-    /// Empties both caches and zeroes the counters.
-    pub(crate) fn clear_caches(&self) {
+    /// Empties the cache and zeroes the counters.
+    pub(crate) fn clear(&self) {
         if let Ok(mut c) = self.traces.lock() {
-            c.clear();
-        }
-        if let Ok(mut c) = self.lods.lock() {
             c.clear();
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
 
-    /// `(hits, misses)` since the last [`Memo::clear_caches`].
+    /// `(hits, misses)` since the last [`Memo::clear`].
     pub(crate) fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -166,24 +137,13 @@ pub(crate) fn self_test_response(
     GLOBAL.self_test_response(chain, dt, window, seed)
 }
 
-/// Memoized wrapper used by [`crate::explore::predict_lod`]. `compute`
-/// runs only on a miss; only `Ok` results enter the cache.
-pub(crate) fn predict_lod_cached<E>(
-    target: Analyte,
-    point: &DesignPoint,
-    compute: impl FnOnce() -> Result<Molar, E>,
-) -> Result<Molar, E> {
-    GLOBAL.predict_lod(target, point, compute)
-}
-
-/// Empties both memo caches (self-test traces and LOD predictions) and
-/// zeroes the hit/miss counters. Benchmarks call this between runs so
-/// cold-path timings stay honest.
+/// Empties the self-test trace cache and zeroes the hit/miss counters.
+/// Benchmarks call this between runs so cold-path timings stay honest.
 pub fn clear_memo_caches() {
-    GLOBAL.clear_caches();
+    GLOBAL.clear();
 }
 
-/// `(hits, misses)` across both memo caches since the last
+/// `(hits, misses)` of the self-test trace cache since the last
 /// [`clear_memo_caches`].
 pub fn memo_stats() -> (u64, u64) {
     GLOBAL.stats()
@@ -250,7 +210,7 @@ mod tests {
         let window = Seconds::new(2.0);
         let _ = memo.self_test_response(&c, dt, window, 3);
         let _ = memo.self_test_response(&c, dt, window, 3);
-        memo.clear_caches();
+        memo.clear();
         assert_eq!(memo.stats(), (0, 0));
         let _ = memo.self_test_response(&c, dt, window, 3);
         assert_eq!(memo.stats(), (0, 1), "recompute after clear is a miss");

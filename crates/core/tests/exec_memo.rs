@@ -1,16 +1,17 @@
-//! Edge cases of the deterministic parallel engine and the memo caches,
-//! exercised through the crate's public API only.
+//! Edge cases of the deterministic parallel engine and the self-test
+//! memo, exercised through the crate's public API only.
 //!
 //! Every test that touches `ADVDIAG_THREADS` sets it to the same value
 //! (`1`): the engine reads the variable once per process through a
 //! `OnceLock`, and integration tests share one process.
 
+use bios_afe::{Fault, FaultKind, FaultPlan};
 use bios_biochem::Analyte;
-use bios_electrochem::Nanostructure;
 use bios_platform::{
-    clear_memo_caches, memo_stats, par_map, predict_lod, try_par_map, DesignPoint, ExecPolicy,
-    ProbePreference, ReadoutSharing,
+    clear_memo_caches, memo_stats, par_map, try_par_map, ExecPolicy, PanelSpec, PlatformBuilder,
+    SessionOptions, SessionReport,
 };
+use bios_units::Molar;
 
 /// Pins the env override before the engine's `OnceLock` first resolves it.
 fn force_single_thread() {
@@ -65,15 +66,27 @@ fn try_par_map_surfaces_an_error_at_index_zero() {
     );
 }
 
-fn point() -> DesignPoint {
-    DesignPoint {
-        nanostructure: Nanostructure::CarbonNanotubes,
-        sharing: ReadoutSharing::Shared,
-        chopper: true,
-        cds: true,
-        adc_bits: 12,
-        preference: ProbePreference::MinimizeElectrodes,
-    }
+/// One fig-4 session with a mild fouling fault on the first working
+/// electrode: its BIST grades the faulted chain against the fault-free
+/// one, through the self-test trace memo.
+fn faulted_session() -> SessionReport {
+    let platform = PlatformBuilder::new(PanelSpec::paper_fig4())
+        .build()
+        .expect("paper panel builds");
+    let sample = [
+        (Analyte::Glucose, Molar::from_millimolar(3.0)),
+        (Analyte::Lactate, Molar::from_millimolar(1.0)),
+    ];
+    let plan = FaultPlan::new(5).with_fault(
+        0,
+        Fault::immediate(FaultKind::Fouling, 0.2).expect("valid fault"),
+    );
+    let options = SessionOptions::default()
+        .with_fault_plan(plan)
+        .with_exec(ExecPolicy::Sequential);
+    platform
+        .run_session_with(&sample, 2011, &options)
+        .expect("session")
 }
 
 #[test]
@@ -81,30 +94,23 @@ fn clear_memo_caches_resets_counters_and_forces_recompute() {
     clear_memo_caches();
     assert_eq!(memo_stats(), (0, 0), "clear must zero the counters");
 
-    let first = predict_lod(Analyte::Glucose, &point()).expect("registered target");
+    let first = faulted_session();
     let (h0, m0) = memo_stats();
-    assert_eq!((h0, m0), (0, 1), "cold call is a miss");
+    assert!(m0 > 0, "a cold session's self-tests miss");
 
-    let second = predict_lod(Analyte::Glucose, &point()).expect("registered target");
+    let second = faulted_session();
     let (h1, m1) = memo_stats();
-    assert_eq!((h1, m1), (1, 1), "repeat call is a hit");
-    assert_eq!(
-        first.value().to_bits(),
-        second.value().to_bits(),
-        "a hit returns the exact cached value"
-    );
+    assert_eq!(m1, m0, "a repeat session adds no miss");
+    assert_eq!(h1, h0 + h0 + m0, "every self-test of a repeat session hits");
+    assert_eq!(first, second, "a hit returns the exact cached value");
 
     clear_memo_caches();
     assert_eq!(memo_stats(), (0, 0));
-    let third = predict_lod(Analyte::Glucose, &point()).expect("registered target");
+    let third = faulted_session();
     assert_eq!(
         memo_stats(),
-        (0, 1),
-        "after a clear the same key must recompute (miss, not hit)"
+        (h0, m0),
+        "after a clear the same keys must recompute (miss, not hit)"
     );
-    assert_eq!(
-        first.value().to_bits(),
-        third.value().to_bits(),
-        "recompute reproduces the original value bit for bit"
-    );
+    assert_eq!(first, third, "recompute reproduces the original bits");
 }

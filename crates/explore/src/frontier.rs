@@ -1,12 +1,12 @@
 //! Pipeline driver, frontier digest and the brute-force oracle.
 
-use bios_platform::ExecPolicy;
+use bios_platform::{try_par_map, ExecPolicy};
 
 use crate::context::PanelContext;
 use crate::error::ExploreError;
 use crate::hash::Fnv;
 use crate::model::evaluate_static;
-use crate::passes::{BitSet, PassManager, PassReport, RunCtx, SpaceState};
+use crate::passes::{merge_blocks, prune_block, PassManager, PassReport, Pruned};
 use crate::shard::{partition, score_band, ScoredDesign};
 use crate::space::ExploreSpec;
 use crate::tables::ClassTables;
@@ -60,6 +60,14 @@ pub fn band_digest(band: &[ScoredDesign]) -> u64 {
 }
 
 /// Runs `manager`'s pipeline over `spec`: prune, partition, score.
+///
+/// The prune is one [`try_par_map`] item per nanostructure block under
+/// `policy`: each item builds the block's tables, runs every pass over
+/// the block's contiguous rank range and ranks its dominance rows down to
+/// a local skyline; a short sequential merge settles dominance across
+/// blocks and replays the pass order for the reports. The band's shards
+/// are then scored on the calling thread. The outcome is the same bits
+/// under every policy.
 pub fn explore_with_manager(
     spec: &ExploreSpec,
     manager: &PassManager,
@@ -67,22 +75,22 @@ pub fn explore_with_manager(
 ) -> Result<ExploreOutcome, ExploreError> {
     spec.validate()?;
     let cx = PanelContext::for_spec(spec)?;
-    let tables = ClassTables::build(spec, &cx, policy)?;
+    let mut tables = ClassTables::shared(spec, &cx)?;
+    let order = manager.order();
+    let blocks = try_par_map(policy, &spec.space.nanostructures, |n, _| {
+        prune_block(spec, &tables, n, order)
+    })?;
+    let pruned = merge_blocks(spec, &tables, order, blocks);
     let total_points = spec.space.len();
-    let rcx = RunCtx {
-        spec,
-        tables: &tables,
-    };
-    let mut state = SpaceState {
-        alive: BitSet::all_set(total_points),
-    };
-    let mut reports = Vec::new();
-    for &pass in manager.order() {
-        reports.push(rcx.run_pass(pass, &mut state)?);
-    }
-    let surviving = state.alive.count();
-    let shards = partition(spec, &state.alive)?;
-    let (band, replayed_shards) = score_band(spec, &tables, &shards, policy)?;
+    let surviving = pruned.surviving();
+    let shards = partition(spec, pruned.alive_ranks())?;
+    let Pruned {
+        reports,
+        tables: blocks,
+        ..
+    } = pruned;
+    tables.attach(blocks);
+    let (band, replayed_shards) = score_band(spec, &tables, &shards)?;
     let statically_rejected = total_points - surviving;
     Ok(ExploreOutcome {
         total_points,

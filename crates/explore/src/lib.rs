@@ -13,9 +13,10 @@
 //! * [`PassManager`] — typed pruning passes ([`PassId`]) that **prove**
 //!   point classes infeasible ([`RejectReason`]) or dominated from
 //!   closed-form calibration models, order-independently;
-//! * [`explore`] — prune → partition → score: the surviving exact Pareto
-//!   band is sharded for [`bios_platform::try_par_map`], scored by the
-//!   surrogate and fully simulated via [`bios_platform::evaluate`], with
+//! * [`explore`] — prune → partition → score: the prune fans out one
+//!   [`bios_platform::try_par_map`] item per nanostructure block; the
+//!   surviving exact Pareto band is sharded, scored by the surrogate and
+//!   fully simulated via [`bios_platform::evaluate`], with
 //!   per-shard content-hash memoization ([`explore_cache_stats`]) so
 //!   re-exploration after a space edit replays untouched shards;
 //! * [`brute_force_band`] — the O(n²) per-point oracle the proptests pin

@@ -180,6 +180,13 @@ impl Bill {
         }
     }
 
+    /// The bill [`Bill::of`] builds for `skeleton` and this bill's
+    /// design point, when `skeleton` has this bill's count of working
+    /// electrodes — the only skeleton field the electronics budget reads.
+    pub(crate) fn on_skeleton(&self, skeleton: Skeleton) -> Option<Self> {
+        (skeleton.n_we == self.skeleton.n_we).then_some(Self { skeleton, ..*self })
+    }
+
     /// Whether pricing can only yield finite costs: every input it reads
     /// is finite (oversampling and area are bounded integers).
     pub(crate) fn is_finite(&self) -> bool {

@@ -5,7 +5,7 @@
 //! in. Three design rules make the pipeline auditable and order-independent:
 //!
 //! 1. **Passes are pure space-level predicates.** A pass computes its
-//!    verdicts from the [`ExploreSpec`]'s [`ClassTables`] only — never
+//!    verdicts from the [`ExploreSpec`]'s class tables only — never
 //!    from which points earlier passes already killed. Marking a
 //!    dead point dead again is a no-op, so the surviving set is the
 //!    intersection of per-pass survivor sets and is invariant under any
@@ -24,6 +24,15 @@
 //! The work is class-granular end to end; nothing visits points one by
 //! one:
 //!
+//! * **One nanostructure block per item.** Ranks are nanostructure-major,
+//!   so nanostructure `n` owns the contiguous ranks `n·|block|..(n+1)·|block|`.
+//!   [`prune_block`] is one [`bios_platform::try_par_map`] item under the
+//!   query's policy: it builds the block's tables ([`BlockTables`]), runs
+//!   every pass of the run order over the block's own alive bitmap
+//!   (bit 0 = the block's first rank, so no block needs to be
+//!   word-aligned), counts the block's survivors after each pass, and
+//!   ranks the block's dominance rows down to a local skyline.
+//!   [`merge_blocks`] then runs sequentially on short inputs.
 //! * **Mask sweeps.** A fiber is a set of bit runs in rank order, so the
 //!   feasibility passes clear the alive bitmap a run or a word at a time:
 //!   an AFE class `(n, ab)` is one run of `pf × os × ar` ranks per
@@ -38,6 +47,17 @@
 //!   dominated rows back to their member ranks. A verdict reads only the
 //!   `(cost, margin)` pair, so this is exact; the Dominated bucket counts
 //!   points by multiplicity and classes as distinct pairs.
+//! * **Skyline merge.** Dominance is a strict partial order under the tie
+//!   rules (transitive, irreflexive), so a row dominated inside its block
+//!   is dominated globally, and a row dominated globally is dominated by
+//!   some row no other row of *its* block dominates. The globally
+//!   dominated rows are therefore each block's local losers plus what one
+//!   sweep over the merged, sorted local skylines kills. Those rows are
+//!   feasible, so no other pass refuted them: they leave the per-block
+//!   counts from the Dominance pass on, which keeps every report's
+//!   `points_in`/`points_out` exact for any pass order. Distinct
+//!   dominated pairs are counted across blocks, so a pair dominated in
+//!   two blocks is one class.
 
 use std::collections::BTreeMap;
 
@@ -46,9 +66,10 @@ use bios_biochem::Analyte;
 use crate::error::ExploreError;
 use crate::model::RejectReason;
 use crate::space::{AxisSizes, ExploreSpec};
-use crate::tables::{BillGroups, ClassTables};
+use crate::tables::{BillGroups, BlockTables, ClassTables};
 
-/// A fixed-size bitmap over ranks; bit set = point still alive.
+/// A fixed-size bitmap over one nanostructure block's ranks; bit set =
+/// point still alive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BitSet {
     words: Vec<u64>,
@@ -138,12 +159,6 @@ impl BitSet {
     }
 }
 
-/// The alive set threaded through the pipeline.
-#[derive(Debug, Clone)]
-pub(crate) struct SpaceState {
-    pub(crate) alive: BitSet,
-}
-
 /// Which pass to run; the order is a caller choice and, by construction,
 /// does not change the surviving set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -213,46 +228,37 @@ pub struct PassReport {
     pub rejects: Vec<RejectBucket>,
 }
 
-/// Everything a pass needs, borrowed once per run.
-pub(crate) struct RunCtx<'a> {
-    pub(crate) spec: &'a ExploreSpec,
-    pub(crate) tables: &'a ClassTables,
-}
-
-/// Clears every point of an infeasible margin class. Per `(n, ch, cd,
-/// ab)` the `os × ar` block of margins is one contiguous bit pattern
-/// (`pattern`, sized `⌈os·ar / 64⌉` words by the caller), cleared from
-/// each `(sharing, preference)` run of the class.
-// advdiag::hot — class-level LOD sweep: one pattern per (n, ch, cd, ab)
+/// Clears every point of a block's infeasible margin classes from the
+/// block's `alive` set. Per `(ch, cd, ab)` the `os × ar` block of margins
+/// is one contiguous bit pattern (`pattern`, sized `⌈os·ar / 64⌉` words
+/// by the caller), cleared from each `(sharing, preference)` run of the
+/// class.
+// advdiag::hot — class-level LOD sweep: one pattern per (ch, cd, ab) of a block
 fn clear_lod(sz: &AxisSizes, margins: &[f64], pattern: &mut [u64], alive: &mut BitSet) {
     let st = sz.strides();
     let run = sz.os * sz.ar;
     let mut block = 0usize;
-    for n in 0..sz.n {
-        for ch in 0..sz.ch {
-            for cd in 0..sz.cd {
-                for ab in 0..sz.ab {
-                    for w in pattern.iter_mut() {
-                        *w = 0;
+    for ch in 0..sz.ch {
+        for cd in 0..sz.cd {
+            for ab in 0..sz.ab {
+                for w in pattern.iter_mut() {
+                    *w = 0;
+                }
+                let mut any = false;
+                for k in 0..run {
+                    if margins[block + k] < 1.0 {
+                        pattern[k >> 6] |= 1u64 << (k & 63);
+                        any = true;
                     }
-                    let mut any = false;
-                    for k in 0..run {
-                        if margins[block + k] < 1.0 {
-                            pattern[k >> 6] |= 1u64 << (k & 63);
-                            any = true;
-                        }
-                    }
-                    block += run;
-                    if !any {
-                        continue;
-                    }
-                    let base =
-                        n as u64 * st.n + ch as u64 * st.ch + cd as u64 * st.cd + ab as u64 * st.ab;
-                    for s in 0..sz.s {
-                        for pf in 0..sz.pf {
-                            alive
-                                .clear_pattern(base + s as u64 * st.s + pf as u64 * st.pf, pattern);
-                        }
+                }
+                block += run;
+                if !any {
+                    continue;
+                }
+                let base = ch as u64 * st.ch + cd as u64 * st.cd + ab as u64 * st.ab;
+                for s in 0..sz.s {
+                    for pf in 0..sz.pf {
+                        alive.clear_pattern(base + s as u64 * st.s + pf as u64 * st.pf, pattern);
                     }
                 }
             }
@@ -260,35 +266,31 @@ fn clear_lod(sz: &AxisSizes, margins: &[f64], pattern: &mut [u64], alive: &mut B
     }
 }
 
-/// Clears every point of a refuted `(n, ab)` AFE class: one run of
-/// `pf × os × ar` ranks per `(sharing, chopper, cds)`.
-// advdiag::hot — class-level AFE sweep: one run per refuted (n, s, ch, cd, ab)
+/// Clears every point of a block's refuted AFE classes (`afe` holds one
+/// entry per `adc_bits` value): one run of `pf × os × ar` ranks per
+/// `(sharing, chopper, cds)`.
+// advdiag::hot — class-level AFE sweep: one run per refuted (s, ch, cd, ab) of a block
 fn clear_afe(sz: &AxisSizes, afe: &[Option<Analyte>], alive: &mut BitSet) {
     let st = sz.strides();
-    for n in 0..sz.n {
-        for ab in 0..sz.ab {
-            if afe[sz.afe_class(n, ab)].is_none() {
-                continue;
-            }
-            for s in 0..sz.s {
-                for ch in 0..sz.ch {
-                    for cd in 0..sz.cd {
-                        let start = n as u64 * st.n
-                            + s as u64 * st.s
-                            + ch as u64 * st.ch
-                            + cd as u64 * st.cd
-                            + ab as u64 * st.ab;
-                        alive.clear_run(start, st.ab);
-                    }
+    for (ab, culprit) in afe.iter().enumerate() {
+        if culprit.is_none() {
+            continue;
+        }
+        for s in 0..sz.s {
+            for ch in 0..sz.ch {
+                for cd in 0..sz.cd {
+                    let start =
+                        s as u64 * st.s + ch as u64 * st.ch + cd as u64 * st.cd + ab as u64 * st.ab;
+                    alive.clear_run(start, st.ab);
                 }
             }
         }
     }
 }
 
-/// Clears every point of an over-budget `(s, cd, pf, os)` time class: one
-/// run of `ar` ranks per `(n, ch, ab)`.
-// advdiag::hot — class-level schedule sweep: one run per refuted (n, s, ch, cd, ab, pf, os)
+/// Clears every point of a block's over-budget `(s, cd, pf, os)` time
+/// classes: one run of `ar` ranks per `(ch, ab)`.
+// advdiag::hot — class-level schedule sweep: one run per refuted (s, ch, cd, ab, pf, os) of a block
 fn clear_schedule(sz: &AxisSizes, times: &[f64], budget_s: f64, alive: &mut BitSet) {
     let st = sz.strides();
     for s in 0..sz.s {
@@ -298,18 +300,15 @@ fn clear_schedule(sz: &AxisSizes, times: &[f64], budget_s: f64, alive: &mut BitS
                     if times[sz.time_class(s, cd, pf, os)] <= budget_s {
                         continue;
                     }
-                    for n in 0..sz.n {
-                        for ch in 0..sz.ch {
-                            for ab in 0..sz.ab {
-                                let start = n as u64 * st.n
-                                    + s as u64 * st.s
-                                    + ch as u64 * st.ch
-                                    + cd as u64 * st.cd
-                                    + ab as u64 * st.ab
-                                    + pf as u64 * st.pf
-                                    + os as u64 * st.os;
-                                alive.clear_run(start, st.os);
-                            }
+                    for ch in 0..sz.ch {
+                        for ab in 0..sz.ab {
+                            let start = s as u64 * st.s
+                                + ch as u64 * st.ch
+                                + cd as u64 * st.cd
+                                + ab as u64 * st.ab
+                                + pf as u64 * st.pf
+                                + os as u64 * st.os;
+                            alive.clear_run(start, st.os);
                         }
                     }
                 }
@@ -357,42 +356,67 @@ struct GroupRow {
     group: u32,
 }
 
-/// Appends one row per feasible `(margin class, bill group)` to `rows`.
-/// Refuted AFE classes are skipped whole, over-budget groups per
-/// oversampling value, infeasible margin classes per row.
+impl GroupRow {
+    /// The row's place in the dominance order as one integer: ascending
+    /// keys sort rows by cost ascending, then margin descending (both as
+    /// [`f64::total_cmp`] orders them), and equal keys are equal
+    /// `(cost, margin)` bit pairs.
+    fn key(&self) -> u128 {
+        (u128::from(total_order_bits(self.cost)) << 64) | u128::from(!total_order_bits(self.margin))
+    }
+}
+
+/// `x`'s bits, mapped so that unsigned integer order is
+/// [`f64::total_cmp`] order.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Appends one row per feasible `(margin class, bill group)` of block `n`
+/// to `rows`. Refuted AFE classes are skipped whole, over-budget groups
+/// per oversampling value, infeasible margin classes per row.
 // advdiag::hot — class-level dominance sweep: one visit per (margin class, bill group)
-fn fill_group_rows(t: &ClassTables, budget_s: f64, rows: &mut Vec<GroupRow>) {
+fn fill_group_rows(
+    t: &ClassTables,
+    block: &BlockTables,
+    n: usize,
+    budget_s: f64,
+    rows: &mut Vec<GroupRow>,
+) {
     let sz = &t.sizes;
     let st = sz.strides();
-    for n in 0..sz.n {
-        for ch in 0..sz.ch {
-            for cd in 0..sz.cd {
-                for ab in 0..sz.ab {
-                    if t.afe_culprits[sz.afe_class(n, ab)].is_some() {
-                        continue;
-                    }
-                    let span = t.groups.span((ch * sz.cd + cd) * sz.ab + ab);
-                    let base =
-                        n as u64 * st.n + ch as u64 * st.ch + cd as u64 * st.cd + ab as u64 * st.ab;
-                    for os in 0..sz.os {
-                        let block = sz.margin_class(n, ch, cd, ab, os, 0);
-                        for g in span.start..span.end {
-                            let grp = t.groups.group(g);
-                            if t.times[grp.time + os] > budget_s {
+    for ch in 0..sz.ch {
+        for cd in 0..sz.cd {
+            for ab in 0..sz.ab {
+                if block.afe_culprits[ab].is_some() {
+                    continue;
+                }
+                let span = t.groups.span((ch * sz.cd + cd) * sz.ab + ab);
+                let base =
+                    n as u64 * st.n + ch as u64 * st.ch + cd as u64 * st.cd + ab as u64 * st.ab;
+                for os in 0..sz.os {
+                    let first = sz.margin_class(0, ch, cd, ab, os, 0);
+                    for g in span.start..span.end {
+                        let grp = t.groups.group(g);
+                        if t.times[grp.time + os] > budget_s {
+                            continue;
+                        }
+                        for ar in 0..sz.ar {
+                            let margin = block.margins[first + ar];
+                            if margin < 1.0 {
                                 continue;
                             }
-                            for ar in 0..sz.ar {
-                                let margin = t.margins[block + ar];
-                                if margin < 1.0 {
-                                    continue;
-                                }
-                                rows.push(GroupRow {
-                                    cost: t.priced(grp.bill, os, ar),
-                                    margin,
-                                    base: base + os as u64 * st.os + ar as u64,
-                                    group: g as u32,
-                                });
-                            }
+                            rows.push(GroupRow {
+                                cost: t.priced(grp.bill, os, ar),
+                                margin,
+                                base: base + os as u64 * st.os + ar as u64,
+                                group: g as u32,
+                            });
                         }
                     }
                 }
@@ -434,34 +458,214 @@ fn mark_dominated(rows: &[GroupRow], dominated: &mut [bool]) {
     }
 }
 
-/// Clears every member point of each dominated row. Returns the distinct
-/// dominated `(cost, margin)` bit pairs (adjacent in sorted order) and the
+/// Splits a block's sorted rows by verdict. Clears every member point of
+/// each dominated row from the block's `alive` set, whose bit 0 is rank
+/// `start`, and appends the keys of the distinct dominated `(cost,
+/// margin)` pairs (adjacent in sorted order) to `pairs` and the
+/// undominated rows — the block's skyline — to `skyline`. Returns the
 /// points cleared.
-// advdiag::hot — expands dominated rows back to their member ranks
-fn clear_dominated(
+// advdiag::hot — expands a block's dominated rows back to their member ranks
+fn split_dominated(
     rows: &[GroupRow],
     dominated: &[bool],
     groups: &BillGroups,
+    start: u64,
     alive: &mut BitSet,
-) -> (u64, u64) {
-    let mut classes = 0u64;
+    pairs: &mut Vec<u128>,
+    skyline: &mut Vec<GroupRow>,
+) -> u64 {
     let mut points = 0u64;
-    let mut prev_pair = None;
+    let mut prev = None;
     for (row, &dom) in rows.iter().zip(dominated) {
         if !dom {
+            skyline.push(*row);
             continue;
         }
-        let pair = (row.cost.to_bits(), row.margin.to_bits());
-        if prev_pair != Some(pair) {
-            classes += 1;
-            prev_pair = Some(pair);
+        let key = row.key();
+        if prev != Some(key) {
+            pairs.push(key);
+            prev = Some(key);
         }
         for &offset in groups.members(row.group as usize) {
-            alive.clear(row.base + offset);
+            alive.clear(row.base - start + offset);
             points += 1;
         }
     }
-    (classes, points)
+    points
+}
+
+/// Ranks one block's dominance rows (sorting them) down to the block's
+/// skyline; see [`split_dominated`] for the outputs.
+fn local_skyline(
+    rows: &mut [GroupRow],
+    groups: &BillGroups,
+    start: u64,
+    alive: &mut BitSet,
+    pairs: &mut Vec<u128>,
+    skyline: &mut Vec<GroupRow>,
+) -> u64 {
+    rows.sort_unstable_by_key(GroupRow::key);
+    let mut dominated = vec![false; rows.len()];
+    mark_dominated(rows, &mut dominated);
+    split_dominated(rows, &dominated, groups, start, alive, pairs, skyline)
+}
+
+/// One nanostructure block, pruned end to end: its tables, its alive
+/// set, and its share of the pass reports.
+pub(crate) struct BlockPrune {
+    /// The block's margin, LOD-culprit and AFE tables.
+    pub(crate) tables: BlockTables,
+    /// The block's points no pass refuted, bit 0 = the block's first rank.
+    alive: BitSet,
+    /// The block's alive points after each pass of the run order.
+    points_out: Vec<u64>,
+    /// Infeasible margin classes per LOD culprit, one slot per distinct
+    /// panel analyte in panel order.
+    lod_counts: Vec<(Analyte, u64)>,
+    /// Dominance rows no row of this block dominates, sorted.
+    skyline: Vec<GroupRow>,
+    /// The [`GroupRow::key`] of each distinct `(cost, margin)` pair this
+    /// block dominates, ascending.
+    dominated_pairs: Vec<u128>,
+    /// Points of the rows this block dominates.
+    dominated_points: u64,
+}
+
+/// Prunes nanostructure block `n` end to end: builds its tables, runs
+/// each pass of `order` over its rank range, counting the survivors after
+/// each, and ranks its dominance rows down to a local skyline. `shared`
+/// holds the nanostructure-free tables.
+// advdiag::cold(one nanostructure block of an explore query: allocates the
+// block's tables, alive set and dominance rows once per block)
+pub(crate) fn prune_block(
+    spec: &ExploreSpec,
+    shared: &ClassTables,
+    n: usize,
+    order: &[PassId],
+) -> Result<BlockPrune, ExploreError> {
+    let sz = shared.sizes;
+    let st = sz.strides();
+    let budget_s = spec.session_budget.value();
+    let tables = BlockTables::build(spec, sz, n)?;
+    let mut lod_counts: Vec<(Analyte, u64)> = Vec::new();
+    for target in spec.panel.targets() {
+        if !lod_counts.iter().any(|(a, _)| *a == target.analyte) {
+            lod_counts.push((target.analyte, 0));
+        }
+    }
+    let mut alive = BitSet::all_set(st.n);
+    let mut points_out = Vec::with_capacity(order.len());
+    let mut skyline = Vec::new();
+    let mut dominated_pairs = Vec::new();
+    let mut dominated_points = 0;
+    for &pass in order {
+        match pass {
+            PassId::LodFeasibility => {
+                let mut pattern = vec![0u64; (sz.os * sz.ar).div_ceil(64)];
+                clear_lod(&sz, &tables.margins, &mut pattern, &mut alive);
+                count_lod_culprits(&tables.margins, &tables.lod_culprits, &mut lod_counts)?;
+            }
+            PassId::AfeRange => clear_afe(&sz, &tables.afe_culprits, &mut alive),
+            PassId::SessionSchedule => clear_schedule(&sz, &shared.times, budget_s, &mut alive),
+            PassId::Dominance => {
+                // Dominance re-derives feasibility from the tables, never
+                // from the alive set, so its verdicts do not depend on
+                // which passes ran before it. It ranks one row per
+                // feasible (margin class, bill group): a verdict reads
+                // only the (cost, margin) pair, which every member of the
+                // row shares.
+                let mut rows = Vec::new();
+                fill_group_rows(shared, &tables, n, budget_s, &mut rows);
+                dominated_points = local_skyline(
+                    &mut rows,
+                    &shared.groups,
+                    n as u64 * st.n,
+                    &mut alive,
+                    &mut dominated_pairs,
+                    &mut skyline,
+                );
+            }
+        }
+        points_out.push(alive.count());
+    }
+    Ok(BlockPrune {
+        tables,
+        alive,
+        points_out,
+        lod_counts,
+        skyline,
+        dominated_pairs,
+        dominated_points,
+    })
+}
+
+/// Settles dominance across blocks. Returns the Dominated bucket's
+/// `(classes, points)` and the points only the merge refutes.
+///
+/// Dominance is a strict partial order (transitive under the tie rules
+/// of [`mark_dominated`]), so a row some block's skyline drops is
+/// dominated globally, and every globally dominated skyline row is
+/// dominated by another block's skyline row. One [`mark_dominated`] over
+/// the merged, sorted skylines therefore finds exactly the rest; their
+/// members are cleared from their blocks' alive sets. `classes` counts
+/// distinct `(cost, margin)` bit pairs over all blocks, so a pair
+/// dominated in two blocks counts once.
+fn settle_dominance(groups: &BillGroups, block_len: u64, blocks: &mut [BlockPrune]) -> ((u64, u64), u64) {
+    let mut merged = Vec::new();
+    let mut points = 0u64;
+    for b in blocks.iter() {
+        merged.extend_from_slice(&b.skyline);
+        points += b.dominated_points;
+    }
+    // A stable sort: each block's skyline is already sorted, so this
+    // merges them.
+    merged.sort_by_key(GroupRow::key);
+    let mut dominated = vec![false; merged.len()];
+    mark_dominated(&merged, &mut dominated);
+    let mut killed = Vec::new();
+    let mut killed_points = 0u64;
+    for (row, _) in merged.iter().zip(&dominated).filter(|(_, &dom)| dom) {
+        let n = row.base / block_len;
+        let alive = &mut blocks[n as usize].alive;
+        for &offset in groups.members(row.group as usize) {
+            alive.clear(row.base - n * block_len + offset);
+            killed_points += 1;
+        }
+        killed.push(row.key());
+    }
+    killed.dedup();
+    let mut runs: Vec<&[u128]> = blocks.iter().map(|b| &b.dominated_pairs[..]).collect();
+    runs.push(&killed);
+    (
+        (count_distinct_keys(&runs), points + killed_points),
+        killed_points,
+    )
+}
+
+/// The number of distinct keys over sorted runs, each free of repeats:
+/// a key counts unless an earlier run holds it. A 2¹⁶-bit filter of the
+/// keys of earlier runs sends only possible repeats to a binary search.
+fn count_distinct_keys(runs: &[&[u128]]) -> u64 {
+    fn slot(key: u128) -> usize {
+        let folded = (key >> 64) as u64 ^ key as u64;
+        (folded.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48) as usize
+    }
+    let mut seen = vec![0u64; (1 << 16) / 64];
+    let mut distinct = 0u64;
+    for (j, run) in runs.iter().enumerate() {
+        for &key in run.iter() {
+            let h = slot(key);
+            let maybe_seen = seen[h >> 6] >> (h & 63) & 1 == 1;
+            if !(maybe_seen && runs[..j].iter().any(|r| r.binary_search(&key).is_ok())) {
+                distinct += 1;
+            }
+        }
+        for &key in run.iter() {
+            let h = slot(key);
+            seen[h >> 6] |= 1 << (h & 63);
+        }
+    }
+    distinct
 }
 
 fn bucketize(map: BTreeMap<RejectReason, (u64, u64)>) -> Vec<RejectBucket> {
@@ -474,27 +678,70 @@ fn bucketize(map: BTreeMap<RejectReason, (u64, u64)>) -> Vec<RejectBucket> {
         .collect()
 }
 
-impl<'a> RunCtx<'a> {
-    pub(crate) fn run_pass(
-        &self,
-        pass: PassId,
-        state: &mut SpaceState,
-    ) -> Result<PassReport, ExploreError> {
-        let points_in = state.alive.count();
-        let t = self.tables;
-        let sz = t.sizes;
-        let budget_s = self.spec.session_budget.value();
+/// The pruned space of one query: each pass's report and what survived.
+pub(crate) struct Pruned {
+    /// One report per pass, in run order.
+    pub(crate) reports: Vec<PassReport>,
+    /// The blocks' tables, in nanostructure order.
+    pub(crate) tables: Vec<BlockTables>,
+    /// Each block's points no pass refutes, in nanostructure order.
+    alive: Vec<BitSet>,
+    /// Ranks per block.
+    block_len: u64,
+}
+
+impl Pruned {
+    /// Points no pass refutes: the exact Pareto band.
+    pub(crate) fn surviving(&self) -> u64 {
+        self.alive.iter().map(BitSet::count).sum()
+    }
+
+    /// The surviving ranks, ascending.
+    pub(crate) fn alive_ranks(&self) -> impl Iterator<Item = u64> + '_ {
+        self.alive.iter().enumerate().flat_map(move |(n, alive)| {
+            let start = n as u64 * self.block_len;
+            alive.iter_set().map(move |r| start + r)
+        })
+    }
+}
+
+/// Merges the pruned blocks, given in nanostructure order: settles
+/// dominance across them and sums the blocks' shares of each report.
+/// Every point the merge refutes is feasible, so it was alive after every
+/// pass of every block's run until Dominance: it leaves the counts from
+/// the Dominance pass on.
+pub(crate) fn merge_blocks(
+    spec: &ExploreSpec,
+    shared: &ClassTables,
+    order: &[PassId],
+    mut blocks: Vec<BlockPrune>,
+) -> Pruned {
+    let sz = shared.sizes;
+    let st = sz.strides();
+    let budget_s = spec.session_budget.value();
+    let d = order.iter().position(|&p| p == PassId::Dominance);
+    let ((classes, points), killed) = match d {
+        Some(_) => settle_dominance(&shared.groups, st.n, &mut blocks),
+        None => ((0, 0), 0),
+    };
+    let mut reports = Vec::with_capacity(order.len());
+    let mut points_in = sz.total();
+    for (k, &pass) in order.iter().enumerate() {
+        let mut points_out = 0u64;
+        for b in &blocks {
+            points_out += b.points_out[k];
+        }
+        if d.is_some_and(|d| k >= d) {
+            points_out -= killed;
+        }
         let (classes_evaluated, rejects) = match pass {
             PassId::LodFeasibility => {
-                let mut pattern = vec![0u64; (sz.os * sz.ar).div_ceil(64)];
-                clear_lod(&sz, &t.margins, &mut pattern, &mut state.alive);
-                let mut counts: Vec<(Analyte, u64)> = Vec::new();
-                for target in self.spec.panel.targets() {
-                    if !counts.iter().any(|(a, _)| *a == target.analyte) {
-                        counts.push((target.analyte, 0));
+                let mut counts = blocks[0].lod_counts.clone();
+                for b in &blocks[1..] {
+                    for (slot, (_, classes)) in counts.iter_mut().zip(&b.lod_counts) {
+                        slot.1 += classes;
                     }
                 }
-                count_lod_culprits(&t.margins, &t.lod_culprits, &mut counts)?;
                 let fiber = (sz.s * sz.pf) as u64;
                 let buckets = counts
                     .into_iter()
@@ -509,10 +756,9 @@ impl<'a> RunCtx<'a> {
                 (sz.margin_classes() as u64, bucketize(buckets))
             }
             PassId::AfeRange => {
-                clear_afe(&sz, &t.afe_culprits, &mut state.alive);
                 let fiber = (sz.s * sz.ch * sz.cd * sz.pf * sz.os * sz.ar) as u64;
                 let mut buckets = BTreeMap::new();
-                for c in t.afe_culprits.iter().flatten() {
+                for c in blocks.iter().flat_map(|b| b.tables.afe_culprits.iter().flatten()) {
                     let e = buckets
                         .entry(RejectReason::AfeRangeNoiseIncompatible { analyte: *c })
                         .or_insert((0, 0));
@@ -522,15 +768,14 @@ impl<'a> RunCtx<'a> {
                 (sz.afe_classes() as u64, bucketize(buckets))
             }
             PassId::SessionSchedule => {
-                clear_schedule(&sz, &t.times, budget_s, &mut state.alive);
                 let fiber = (sz.n * sz.ch * sz.ab * sz.ar) as u64;
                 let mut buckets = BTreeMap::new();
                 for s in 0..sz.s {
                     for cd in 0..sz.cd {
                         for pf in 0..sz.pf {
                             for os in 0..sz.os {
-                                if t.times[sz.time_class(s, cd, pf, os)] > budget_s {
-                                    let reason = match self.spec.space.sharing[s] {
+                                if shared.times[sz.time_class(s, cd, pf, os)] > budget_s {
+                                    let reason = match spec.space.sharing[s] {
                                         bios_platform::ReadoutSharing::Shared => {
                                             RejectReason::SharingConflict
                                         }
@@ -549,23 +794,6 @@ impl<'a> RunCtx<'a> {
                 (sz.time_classes() as u64, bucketize(buckets))
             }
             PassId::Dominance => {
-                // Dominance re-derives feasibility from the tables, never
-                // from the alive set, so its verdicts do not depend on
-                // which passes ran before it. It ranks one row per
-                // feasible (margin class, bill group): a verdict reads
-                // only the (cost, margin) pair, which every member of the
-                // row shares.
-                let mut rows = Vec::new();
-                fill_group_rows(t, budget_s, &mut rows);
-                rows.sort_unstable_by(|a, b| {
-                    a.cost
-                        .total_cmp(&b.cost)
-                        .then(b.margin.total_cmp(&a.margin))
-                });
-                let mut dominated = vec![false; rows.len()];
-                mark_dominated(&rows, &mut dominated);
-                let (classes, points) =
-                    clear_dominated(&rows, &dominated, &t.groups, &mut state.alive);
                 let evaluated = (sz.margin_classes()
                     + sz.afe_classes()
                     + sz.time_classes()
@@ -582,13 +810,21 @@ impl<'a> RunCtx<'a> {
                 (evaluated, rejects)
             }
         };
-        Ok(PassReport {
+        reports.push(PassReport {
             pass: pass.name().to_string(),
             points_in,
-            points_out: state.alive.count(),
+            points_out,
             classes_evaluated,
             rejects,
-        })
+        });
+        points_in = points_out;
+    }
+    let (tables, alive) = blocks.into_iter().map(|b| (b.tables, b.alive)).unzip();
+    Pruned {
+        reports,
+        tables,
+        alive,
+        block_len: st.n,
     }
 }
 
@@ -718,6 +954,89 @@ mod tests {
             .collect();
         surviving.sort_unstable();
         assert_eq!(surviving, vec![0, 1, 4]);
+    }
+
+    /// Blocks of `BLOCK` ranks whose rows each stand for one point (every
+    /// bill group has the single member offset 0), so a row's base is the
+    /// rank it marks.
+    const BLOCK: u64 = 100;
+
+    /// Runs each block's local skyline, then settles dominance across
+    /// the blocks. Returns the Dominated bucket's `(classes, points)` and
+    /// the dominated ranks, ascending.
+    fn settle(blocks: Vec<Vec<GroupRow>>) -> ((u64, u64), Vec<u64>) {
+        let groups = BillGroups::singletons(1);
+        let mut pruned: Vec<BlockPrune> = blocks
+            .into_iter()
+            .enumerate()
+            .map(|(n, mut rows)| {
+                let mut alive = BitSet::all_set(BLOCK);
+                let mut pairs = Vec::new();
+                let mut skyline = Vec::new();
+                let points = local_skyline(
+                    &mut rows,
+                    &groups,
+                    n as u64 * BLOCK,
+                    &mut alive,
+                    &mut pairs,
+                    &mut skyline,
+                );
+                BlockPrune {
+                    tables: BlockTables::empty(),
+                    alive,
+                    points_out: Vec::new(),
+                    lod_counts: Vec::new(),
+                    skyline,
+                    dominated_pairs: pairs,
+                    dominated_points: points,
+                }
+            })
+            .collect();
+        let (bucket, _) = settle_dominance(&groups, BLOCK, &mut pruned);
+        let mut ranks = Vec::new();
+        for (n, b) in pruned.iter().enumerate() {
+            let alive: Vec<u64> = b.alive.iter_set().collect();
+            ranks.extend((0..BLOCK).filter(|r| !alive.contains(r)).map(|r| n as u64 * BLOCK + r));
+        }
+        (bucket, ranks)
+    }
+
+    #[test]
+    fn a_row_dominated_only_from_another_block_is_cleared() {
+        // Block 0's rows are mutually undominated; block 1's cheaper row
+        // with a higher margin dominates rank 1 only.
+        let (bucket, ranks) = settle(vec![
+            vec![row(1.0, 5.0, 0), row(3.0, 6.0, 1), row(4.0, 9.0, 2)],
+            vec![row(2.0, 7.0, BLOCK)],
+        ]);
+        assert_eq!(ranks, vec![1]);
+        assert_eq!(bucket, (1, 1));
+    }
+
+    #[test]
+    fn exact_ties_across_blocks_all_survive() {
+        // The same (cost, margin) pair in three blocks, each beside a
+        // row it dominates locally; no tied row is dominated.
+        let (bucket, ranks) = settle(vec![
+            vec![row(1.0, 5.0, 0), row(2.0, 4.0, 1)],
+            vec![row(1.0, 5.0, BLOCK), row(1.0, 3.0, BLOCK + 1)],
+            vec![row(1.0, 5.0, 2 * BLOCK)],
+        ]);
+        assert_eq!(ranks, vec![1, BLOCK + 1]);
+        assert_eq!(bucket, (2, 2));
+    }
+
+    #[test]
+    fn a_pair_dominated_in_two_blocks_counts_once() {
+        // (2.0, 4.0) is dominated inside block 0 and, through the merge,
+        // in block 1: two points, one class. (5.0, 1.0) is dominated in
+        // both blocks locally.
+        let (bucket, ranks) = settle(vec![
+            vec![row(1.0, 6.0, 0), row(2.0, 4.0, 1), row(5.0, 1.0, 2)],
+            vec![row(2.0, 4.0, BLOCK), row(5.0, 1.0, BLOCK + 1)],
+        ]);
+        assert_eq!(ranks, vec![1, 2, BLOCK, BLOCK + 1]);
+        assert_eq!(bucket, (2, 4));
     }
 
     #[test]

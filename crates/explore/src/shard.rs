@@ -2,9 +2,10 @@
 //!
 //! After the pruning passes, the alive set — the exact Pareto band — is
 //! grouped into shards keyed by `(nanostructure, chopper, cds, adc_bits)`.
-//! Shards go through [`bios_platform::try_par_map`] (the bit-identical
-//! merge contract from the exec layer), and each shard's scored result is
-//! memoized under an FNV-1a **content hash** of everything the result
+//! Shards are scored in order on the calling thread — measured on a
+//! 2-vCPU host, fanning them out under the query's policy cost more in
+//! thread start-up than the few shards of a band save — and each shard's
+//! scored result is memoized under an FNV-1a **content hash** of everything the result
 //! depends on: model version, panel requirements, the shard's exact point
 //! list. Incremental re-exploration after a space edit therefore replays
 //! untouched shards from cache and recomputes only invalidated ones —
@@ -20,15 +21,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use bios_electrochem::Nanostructure;
-use bios_platform::{
-    evaluate, required_lod, try_par_map, DesignPoint, EvaluatedDesign, ExecPolicy, PanelSpec,
-};
+use bios_platform::{evaluate, required_lod, DesignPoint, EvaluatedDesign, PanelSpec};
 
 use crate::context::{pref_ordinal, sharing_ordinal};
 use crate::error::ExploreError;
 use crate::hash::Fnv;
 use crate::model::MODEL_VERSION;
-use crate::passes::BitSet;
 use crate::space::{ExplorePoint, ExploreSpec};
 use crate::tables::ClassTables;
 
@@ -72,10 +70,14 @@ pub struct Shard {
 /// A shard's key: nanostructure, chopper, CDS, ADC bits.
 type ShardKey = (Nanostructure, bool, bool, u8);
 
-/// Groups the alive set into shards, keyed and ordered deterministically.
-pub(crate) fn partition(spec: &ExploreSpec, alive: &BitSet) -> Result<Vec<Shard>, ExploreError> {
+/// Groups the surviving ranks into shards, keyed and ordered
+/// deterministically.
+pub(crate) fn partition(
+    spec: &ExploreSpec,
+    alive: impl Iterator<Item = u64>,
+) -> Result<Vec<Shard>, ExploreError> {
     let mut groups: BTreeMap<ShardKey, Vec<(u64, ExplorePoint)>> = BTreeMap::new();
-    for rank in alive.iter_set() {
+    for rank in alive {
         let p = spec.space.point_at(rank).ok_or(ExploreError::Internal {
             what: "alive rank outside the space",
         })?;
@@ -216,20 +218,17 @@ fn score_shard_cached(
     Ok((out, false))
 }
 
-/// Scores every shard (parallel, bit-identical merge) and returns the band
-/// rank-ascending plus the number of shards replayed from cache.
+/// Scores every shard, in order, and returns the band rank-ascending
+/// plus the number of shards replayed from cache.
 pub(crate) fn score_band(
     spec: &ExploreSpec,
     tables: &ClassTables,
     shards: &[Shard],
-    policy: ExecPolicy,
 ) -> Result<(Vec<ScoredDesign>, u64), ExploreError> {
-    let scored = try_par_map(policy, shards, |_, shard| {
-        score_shard_cached(spec, tables, shard)
-    })?;
     let mut replayed = 0u64;
     let mut band = Vec::new();
-    for (points, was_hit) in scored {
+    for shard in shards {
+        let (points, was_hit) = score_shard_cached(spec, tables, shard)?;
         if was_hit {
             replayed += 1;
         }
@@ -245,7 +244,7 @@ mod tests {
     use crate::context::PanelContext;
     use crate::space::ExploreSpace;
     use bios_biochem::Analyte;
-    use bios_platform::TargetSpec;
+    use bios_platform::{ExecPolicy, TargetSpec};
 
     /// A panel no other unit test explores: the shard cache is
     /// process-global and tests run in parallel, so a test that needs a

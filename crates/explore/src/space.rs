@@ -216,13 +216,9 @@ impl AxisSizes {
         self.s * self.cd * self.pf * self.os
     }
 
-    /// AFE range/noise compatibility class index over `(n, ab)`: the
+    /// AFE range/noise compatibility classes, one per `(n, ab)`: the
     /// derived dynamic range scales with roughness gain but the electrode
     /// area cancels (full scale and resolution both grow linearly with it).
-    pub(crate) fn afe_class(&self, n: usize, ab: usize) -> usize {
-        n * self.ab + ab
-    }
-
     pub(crate) fn afe_classes(&self) -> usize {
         self.n * self.ab
     }

@@ -22,10 +22,15 @@
 //!   of one per point;
 //! * **AFE culprits** and **session times** are one closed form per class.
 //!
-//! The margin table, the bulk of the build, is filled one nanostructure
-//! block at a time through [`try_par_map`] under the query's
-//! [`ExecPolicy`]; the merge is in block order, so the tables are the
-//! same bits under every policy.
+//! The tables split in two. The nanostructure-free part — times, bills
+//! and bill groups — is built once per query by [`ClassTables::shared`].
+//! Margins, LOD culprits and AFE culprits all read the nanostructure, and
+//! ranks are nanostructure-major, so they are built per nanostructure
+//! block ([`BlockTables`]): inside the explore pipeline, by the same
+//! fan-out item that prunes the block (see [`crate::passes`]); through
+//! [`ClassTables::build`], one [`try_par_map`] item per block under the
+//! query's [`ExecPolicy`]. Blocks are kept in nanostructure order, so the
+//! tables are the same bits under every policy.
 //!
 //! One build per query feeds every pass and the band scoring. The tables
 //! are a pure function of the spec, so the passes built on them stay pure
@@ -45,12 +50,9 @@ use crate::space::{area_scale_of, AxisIndex, AxisSizes, ExplorePoint, ExploreSpe
 #[derive(Debug)]
 pub struct ClassTables {
     pub(crate) sizes: AxisSizes,
-    /// Worst LOD margin per `(n, ch, cd, ab, os, ar)` margin class.
-    pub(crate) margins: Vec<f64>,
-    /// First target (panel order) with margin `< 1`, per margin class.
-    pub(crate) lod_culprits: Vec<Option<Analyte>>,
-    /// First unrealizable target per `(n, ab)` AFE class.
-    pub(crate) afe_culprits: Vec<Option<Analyte>>,
+    /// Per-nanostructure tables, in nanostructure order; empty until the
+    /// blocks are attached.
+    blocks: Vec<BlockTables>,
     /// Session seconds per `(s, cd, pf, os)` time class.
     pub(crate) times: Vec<f64>,
     /// Electronics bill per `(s, ch, cd, ab, pf)` bill class.
@@ -61,6 +63,18 @@ pub struct ClassTables {
     oversampling: Vec<u16>,
     /// The area axis as scale factors, which pricing reads.
     area_scales: Vec<f64>,
+}
+
+/// The tables of one nanostructure block, indexed as the global tables
+/// are with `n = 0`.
+#[derive(Debug)]
+pub(crate) struct BlockTables {
+    /// Worst LOD margin per `(ch, cd, ab, os, ar)` margin class.
+    pub(crate) margins: Vec<f64>,
+    /// First target (panel order) with margin `< 1`, per margin class.
+    pub(crate) lod_culprits: Vec<Option<Analyte>>,
+    /// First unrealizable target per `adc_bits` value.
+    pub(crate) afe_culprits: Vec<Option<Analyte>>,
 }
 
 /// The table entries one point reads.
@@ -105,6 +119,24 @@ pub(crate) struct BillGroup {
 }
 
 impl BillGroups {
+    /// `count` groups of one member each, at rank offset 0, for unit
+    /// tests of the dominance kernels.
+    #[cfg(test)]
+    pub(crate) fn singletons(count: usize) -> Self {
+        Self {
+            spans: vec![0, count],
+            groups: (0..count)
+                .map(|g| BillGroup {
+                    bill: 0,
+                    time: 0,
+                    start: g,
+                    len: 1,
+                })
+                .collect(),
+            offsets: vec![0; count],
+        }
+    }
+
     /// Global indices of the `k`-th `(ch, cd, ab)` class's groups.
     pub(crate) fn span(&self, k: usize) -> std::ops::Range<usize> {
         self.spans[k]..self.spans[k + 1]
@@ -148,81 +180,113 @@ fn margin_and_culprit(terms: &[TargetTerms], point: &ExplorePoint) -> (f64, Opti
     (worst, culprit)
 }
 
-/// One nanostructure's margins and LOD culprits, in `margin_class` order.
-type MarginBlock = (Vec<f64>, Vec<Option<Analyte>>);
+impl BlockTables {
+    /// A block with no tables, for unit tests of the merge.
+    #[cfg(test)]
+    pub(crate) fn empty() -> Self {
+        Self {
+            margins: Vec::new(),
+            lod_culprits: Vec::new(),
+            afe_culprits: Vec::new(),
+        }
+    }
 
-/// Nanostructure `n`'s block of the margin and LOD-culprit tables.
-/// Sharing and preference are fibered out (the LOD surrogate never reads
-/// them): their first values stand in for all.
-// advdiag::cold(one nanostructure's block of the margin table: allocates the
-// block once, one call per nanostructure per query)
-fn margin_block(spec: &ExploreSpec, sz: AxisSizes, n: usize) -> Result<MarginBlock, ExploreError> {
-    let block = sz.margin_classes() / sz.n;
-    let mut margins = Vec::with_capacity(block);
-    let mut culprits = Vec::with_capacity(block);
-    let targets = spec.panel.targets();
-    let mut terms = Vec::with_capacity(targets.len());
-    for ch in 0..sz.ch {
-        for cd in 0..sz.cd {
-            for ab in 0..sz.ab {
-                let rep = spec.space.point_of(AxisIndex {
-                    n,
-                    s: 0,
-                    ch,
-                    cd,
-                    ab,
-                    pf: 0,
-                    os: 0,
-                    ar: 0,
-                });
-                terms.clear();
-                for target in targets {
-                    terms.push(TargetTerms {
-                        analyte: target.analyte,
-                        noise: noise_breakdown(target.analyte, &rep.base)?,
-                        s_eff: effective_sensitivity(target.analyte, rep.base.nanostructure)?,
-                        required: required_lod(target)?.value(),
+    /// Nanostructure `n`'s margins, LOD culprits (in `margin_class`
+    /// order) and AFE culprits. Sharing and preference are fibered out
+    /// (the LOD surrogate never reads them): their first values stand in
+    /// for all.
+    // advdiag::cold(one nanostructure's block of the tables: allocates the block
+    // once, one call per nanostructure per query)
+    pub(crate) fn build(spec: &ExploreSpec, sz: AxisSizes, n: usize) -> Result<Self, ExploreError> {
+        let block = sz.margin_classes() / sz.n;
+        let mut margins = Vec::with_capacity(block);
+        let mut lod_culprits = Vec::with_capacity(block);
+        let targets = spec.panel.targets();
+        let mut terms = Vec::with_capacity(targets.len());
+        for ch in 0..sz.ch {
+            for cd in 0..sz.cd {
+                for ab in 0..sz.ab {
+                    let rep = spec.space.point_of(AxisIndex {
+                        n,
+                        s: 0,
+                        ch,
+                        cd,
+                        ab,
+                        pf: 0,
+                        os: 0,
+                        ar: 0,
                     });
-                }
-                for os in 0..sz.os {
-                    for ar in 0..sz.ar {
-                        let point = ExplorePoint {
-                            oversampling: spec.space.oversampling[os],
-                            area_pct: spec.space.area_pct[ar],
-                            ..rep
-                        };
-                        let (margin, culprit) = margin_and_culprit(&terms, &point);
-                        if margin.is_nan() {
-                            return Err(ExploreError::NonFinite {
-                                what: "worst LOD margin",
-                            });
+                    terms.clear();
+                    for target in targets {
+                        terms.push(TargetTerms {
+                            analyte: target.analyte,
+                            noise: noise_breakdown(target.analyte, &rep.base)?,
+                            s_eff: effective_sensitivity(target.analyte, rep.base.nanostructure)?,
+                            required: required_lod(target)?.value(),
+                        });
+                    }
+                    for os in 0..sz.os {
+                        for ar in 0..sz.ar {
+                            let point = ExplorePoint {
+                                oversampling: spec.space.oversampling[os],
+                                area_pct: spec.space.area_pct[ar],
+                                ..rep
+                            };
+                            let (margin, culprit) = margin_and_culprit(&terms, &point);
+                            if margin.is_nan() {
+                                return Err(ExploreError::NonFinite {
+                                    what: "worst LOD margin",
+                                });
+                            }
+                            margins.push(margin);
+                            lod_culprits.push(culprit);
                         }
-                        margins.push(margin);
-                        culprits.push(culprit);
                     }
                 }
             }
         }
+        let mut afe_culprits = Vec::with_capacity(sz.ab);
+        for &bits in &spec.space.adc_bits {
+            afe_culprits.push(afe_incompatibility(
+                &spec.panel,
+                spec.space.nanostructures[n],
+                bits,
+            )?);
+        }
+        Ok(Self {
+            margins,
+            lod_culprits,
+            afe_culprits,
+        })
     }
-    Ok((margins, culprits))
 }
 
 impl ClassTables {
     /// Tabulates every closed form of `spec` over its classes; `cx` must be
-    /// `spec`'s panel context. The margin table's nanostructure blocks run
-    /// under `policy`; the tables are the same bits under every policy.
+    /// `spec`'s panel context. The nanostructure blocks run one
+    /// [`try_par_map`] item each under `policy`; the tables are the same
+    /// bits under every policy.
     pub fn build(
         spec: &ExploreSpec,
         cx: &PanelContext,
         policy: ExecPolicy,
     ) -> Result<Self, ExploreError> {
+        let mut tables = Self::shared(spec, cx)?;
+        let sz = tables.sizes;
+        tables.blocks = try_par_map(policy, &spec.space.nanostructures, |n, _| {
+            BlockTables::build(spec, sz, n)
+        })?;
+        Ok(tables)
+    }
+
+    /// The nanostructure-free tables of `spec` — times, bills and bill
+    /// groups — with no blocks attached yet.
+    pub(crate) fn shared(spec: &ExploreSpec, cx: &PanelContext) -> Result<Self, ExploreError> {
         spec.validate()?;
         let sizes = spec.space.sizes();
         let mut tables = Self {
             sizes,
-            margins: Vec::with_capacity(sizes.margin_classes()),
-            lod_culprits: Vec::with_capacity(sizes.margin_classes()),
-            afe_culprits: vec![None; sizes.afe_classes()],
+            blocks: Vec::with_capacity(sizes.n),
             times: vec![0.0; sizes.time_classes()],
             bills: Vec::with_capacity(sizes.bill_classes()),
             groups: BillGroups::default(),
@@ -234,23 +298,27 @@ impl ClassTables {
                 .map(|&a| area_scale_of(a))
                 .collect(),
         };
-        tables.fill_margins(spec, policy)?;
-        tables.fill_afe(spec)?;
         tables.fill_times(spec, cx)?;
         tables.fill_bills(spec, cx)?;
         tables.fill_groups();
         Ok(tables)
     }
 
+    /// Attaches the nanostructure blocks, in nanostructure order.
+    pub(crate) fn attach(&mut self, blocks: Vec<BlockTables>) {
+        self.blocks = blocks;
+    }
+
     /// The entries the point at `rank` reads; `None` past the end.
     pub fn entry(&self, rank: u64) -> Option<ClassEntry> {
         let sz = &self.sizes;
         let i = sz.decode(rank)?;
-        let mc = sz.margin_class(i.n, i.ch, i.cd, i.ab, i.os, i.ar);
+        let block = self.blocks.get(i.n)?;
+        let mc = sz.margin_class(0, i.ch, i.cd, i.ab, i.os, i.ar);
         Some(ClassEntry {
-            margin: self.margins[mc],
-            lod_culprit: self.lod_culprits[mc],
-            afe_culprit: self.afe_culprits[sz.afe_class(i.n, i.ab)],
+            margin: block.margins[mc],
+            lod_culprit: block.lod_culprits[mc],
+            afe_culprit: block.afe_culprits[i.ab],
             session_s: self.times[sz.time_class(i.s, i.cd, i.pf, i.os)],
             cost: self.cost_at(i),
         })
@@ -269,21 +337,6 @@ impl ClassTables {
     /// `ar`.
     pub(crate) fn priced(&self, bill: usize, os: usize, ar: usize) -> f64 {
         self.bills[bill].priced(self.oversampling[os], self.area_scales[ar])
-    }
-
-    /// Margin classes, one nanostructure block per [`try_par_map`] item.
-    /// Blocks are contiguous in `margin_class` order (nanostructure is its
-    /// outermost axis), so appending them in item order fills the table.
-    fn fill_margins(&mut self, spec: &ExploreSpec, policy: ExecPolicy) -> Result<(), ExploreError> {
-        let sz = self.sizes;
-        let blocks = try_par_map(policy, &spec.space.nanostructures, |n, _| {
-            margin_block(spec, sz, n)
-        })?;
-        for (margins, culprits) in blocks {
-            self.margins.extend_from_slice(&margins);
-            self.lod_culprits.extend_from_slice(&culprits);
-        }
-        Ok(())
     }
 
     /// Groups each `(chopper, cds, adc_bits)` class's `(sharing,
@@ -340,20 +393,6 @@ impl ClassTables {
         };
     }
 
-    /// AFE classes: first unrealizable target per `(nanostructure,
-    /// adc_bits)`.
-    fn fill_afe(&mut self, spec: &ExploreSpec) -> Result<(), ExploreError> {
-        let sz = self.sizes;
-        let space = &spec.space;
-        for n in 0..sz.n {
-            for ab in 0..sz.ab {
-                self.afe_culprits[sz.afe_class(n, ab)] =
-                    afe_incompatibility(&spec.panel, space.nanostructures[n], space.adc_bits[ab])?;
-            }
-        }
-        Ok(())
-    }
-
     /// Time classes: skeleton schedule × oversampling per `(sharing, cds,
     /// preference, oversampling)`.
     fn fill_times(&mut self, spec: &ExploreSpec, cx: &PanelContext) -> Result<(), ExploreError> {
@@ -375,6 +414,8 @@ impl ClassTables {
 
     /// Bill classes, in `bill_class` order. Nanostructure is fibered out
     /// (the cost model never reads it): its first value stands in for all.
+    /// Within one `(sharing, chopper, cds, adc_bits)` the electronics
+    /// budget is built once per distinct working-electrode count.
     fn fill_bills(&mut self, spec: &ExploreSpec, cx: &PanelContext) -> Result<(), ExploreError> {
         let sz = self.sizes;
         let space = &spec.space;
@@ -382,6 +423,10 @@ impl ClassTables {
             for ch in 0..sz.ch {
                 for cd in 0..sz.cd {
                     for ab in 0..sz.ab {
+                        // Preferences change only the skeleton; one built
+                        // budget serves every skeleton with its count of
+                        // working electrodes.
+                        let first = self.bills.len();
                         for pf in 0..sz.pf {
                             let rep = space.point_of(AxisIndex {
                                 n: 0,
@@ -395,7 +440,13 @@ impl ClassTables {
                             });
                             let sk =
                                 cx.skeleton(rep.base.preference, rep.base.sharing, rep.base.cds)?;
-                            let bill = Bill::of(sk, &rep.base);
+                            let bill = match self.bills[first..]
+                                .iter()
+                                .find_map(|b| b.on_skeleton(sk))
+                            {
+                                Some(bill) => bill,
+                                None => Bill::of(sk, &rep.base),
+                            };
                             if !bill.is_finite() {
                                 return Err(ExploreError::NonFinite {
                                     what: "surrogate cost",

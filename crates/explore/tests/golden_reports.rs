@@ -97,20 +97,34 @@ fn render(out: &mut String, panel: &str, space: &str, o: &ExploreOutcome) {
     }
 }
 
-#[test]
-fn pass_reports_match_the_recorded_golden() {
+/// Renders every panel on every box under `policy` and compares it with
+/// the fixture line by line.
+fn check_golden(policy: ExecPolicy) {
     let mut got = String::new();
     for (panel_name, panel) in panels() {
         for (space_name, spec) in boxes(&panel) {
-            let outcome = explore(&spec, ExecPolicy::Auto).expect("a BENCH_10 panel explores");
+            let outcome = explore(&spec, policy).expect("a BENCH_10 panel explores");
             render(&mut got, panel_name, space_name, &outcome);
         }
     }
     let want = include_str!("golden/pass_reports.txt");
     if got != want {
         for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            assert_eq!(g, w, "first differing line is {}", i + 1);
+            assert_eq!(g, w, "{policy:?}: first differing line is {}", i + 1);
         }
         assert_eq!(got.lines().count(), want.lines().count(), "line count");
     }
+}
+
+#[test]
+fn pass_reports_match_the_recorded_golden() {
+    check_golden(ExecPolicy::Auto);
+}
+
+/// The nanostructure blocks run one per item: a single worker and two
+/// workers must both reproduce the fixture.
+#[test]
+fn pass_reports_match_the_golden_sequentially_and_on_two_threads() {
+    check_golden(ExecPolicy::Sequential);
+    check_golden(ExecPolicy::Threads(2));
 }

@@ -41,11 +41,18 @@ pub enum ItemKind {
     /// An inline module with its items.
     Mod { name: String, items: Vec<Item> },
     /// A struct / enum / union definition (name only).
-    TypeDef { name: String },
+    /// A struct, enum or union; `fields` holds a struct's named fields
+    /// as `(name, type text)`, in declaration order.
+    TypeDef {
+        name: String,
+        fields: Vec<(String, String)>,
+    },
     /// A trait definition and the items inside it (default bodies parse).
     Trait { name: String, items: Vec<Item> },
     /// An `impl` block and the items inside it.
-    Impl { items: Vec<Item> },
+    /// An impl block; `self_ty` is the implementing type's name (the
+    /// last path segment, generics dropped), empty when unparsed.
+    Impl { self_ty: String, items: Vec<Item> },
     /// A `const` or `static` (name only).
     Const { name: String },
     /// A `type` alias (name only).
@@ -91,6 +98,8 @@ pub enum Stmt {
     /// binds (one entry for a simple `let x =`), `init` the initializer.
     Let {
         names: Vec<String>,
+        /// The type annotation's text (tokens joined by spaces), if any.
+        ty: Option<String>,
         init: Option<Expr>,
         span: Span,
     },
@@ -406,6 +415,25 @@ impl Block {
     }
 }
 
+/// The name a type's text resolves by: the last path segment before any
+/// generics, after references, `mut`, `dyn` and lifetimes (`& mut
+/// std :: vec :: Vec < u8 >` → `Vec`); `[]` for slices and arrays.
+/// `None` for tuples, function pointers and anything else unmodeled.
+pub fn type_head(ty: &str) -> Option<&str> {
+    let mut head = None;
+    for tok in ty.split_whitespace() {
+        match tok {
+            "&" | "&&" | "mut" | "dyn" | "impl" if head.is_none() => {}
+            _ if tok.starts_with('\'') && head.is_none() => {}
+            "[" if head.is_none() => return Some("[]"),
+            "::" => {}
+            _ if tok.chars().all(|c| c.is_alphanumeric() || c == '_') => head = Some(tok),
+            _ => break,
+        }
+    }
+    head
+}
+
 impl Item {
     /// Calls `f` on every expression in every function body under this
     /// item (recursing through mods, impls and traits).
@@ -418,7 +446,7 @@ impl Item {
             }
             ItemKind::Mod { items, .. }
             | ItemKind::Trait { items, .. }
-            | ItemKind::Impl { items } => {
+            | ItemKind::Impl { items, .. } => {
                 for it in items {
                     it.visit_exprs(f);
                 }
@@ -430,13 +458,26 @@ impl Item {
     /// Calls `f` on every function item under this item (recursing
     /// through mods, impls and traits), with the item that declares it.
     pub fn visit_fns<'a>(&'a self, f: &mut impl FnMut(&'a Item, &'a FnItem)) {
+        self.visit_fns_in(None, &mut |it, func, _| f(it, func));
+    }
+
+    /// As [`Self::visit_fns`], also passing the `self_ty` of the impl
+    /// block directly enclosing each function, if any.
+    pub fn visit_fns_in<'a>(
+        &'a self,
+        owner: Option<&'a str>,
+        f: &mut impl FnMut(&'a Item, &'a FnItem, Option<&'a str>),
+    ) {
         match &self.kind {
-            ItemKind::Fn(func) => f(self, func),
-            ItemKind::Mod { items, .. }
-            | ItemKind::Trait { items, .. }
-            | ItemKind::Impl { items } => {
+            ItemKind::Fn(func) => f(self, func, owner),
+            ItemKind::Mod { items, .. } | ItemKind::Trait { items, .. } => {
                 for it in items {
-                    it.visit_fns(f);
+                    it.visit_fns_in(None, f);
+                }
+            }
+            ItemKind::Impl { self_ty, items } => {
+                for it in items {
+                    it.visit_fns_in(Some(self_ty), f);
                 }
             }
             _ => {}

@@ -3,10 +3,13 @@
 //! The graph is name-grained: every non-test `fn` definition registers its
 //! bare name, every call site registers an edge from the enclosing
 //! definition's name to the callee's last path segment (free calls) or
-//! method name (method calls). Names are all the lossy AST gives us — there
-//! is no type or impl resolution — so the reachability fixpoint is bounded
-//! by a *definition-multiplicity* rule that keeps the lossiness in the
-//! false-negative direction:
+//! method name (method calls). The one exception is made where the edges
+//! are collected ([`crate::hotpath`]): a method call on a receiver known
+//! to be a std type (`Vec`, maps, `Option`, …) registers no edge unless a
+//! workspace trait declares the name, since an inherent std method always
+//! wins. Otherwise names are all the lossy AST gives us, so the
+//! reachability fixpoint is bounded by a *definition-multiplicity* rule
+//! that keeps the lossiness in the false-negative direction:
 //!
 //! * a **root** name is hot unconditionally (every definition of it);
 //! * an edge `hot → callee` makes `callee` hot only when the workspace has

@@ -432,7 +432,7 @@ fn collect_pub_items(
     };
     match &item.kind {
         ItemKind::Fn(f) => record(&f.name, "fn"),
-        ItemKind::TypeDef { name } => record(name, "type"),
+        ItemKind::TypeDef { name, .. } => record(name, "type"),
         ItemKind::Trait { name, .. } => record(name, "trait"),
         ItemKind::Const { name } => record(name, "const"),
         ItemKind::TypeAlias { name } => record(name, "type alias"),
@@ -442,7 +442,7 @@ fn collect_pub_items(
                 collect_pub_items(it, visible && item.is_pub, out);
             }
         }
-        ItemKind::Impl { items } => {
+        ItemKind::Impl { items, .. } => {
             for it in items {
                 collect_pub_items(it, visible, out);
             }

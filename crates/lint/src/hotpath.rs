@@ -55,7 +55,9 @@
 
 use std::collections::BTreeSet;
 
-use crate::ast::{Block, Expr, Item, Stmt};
+use std::collections::BTreeMap;
+
+use crate::ast::{type_head, Block, Expr, Item, ItemKind, Param, Stmt};
 use crate::callgraph::{CallGraph, Level};
 use crate::depgraph::HotOverlay;
 use crate::rules::{push, FileContext, Finding, BENCH_CRATE, LINT_CRATE};
@@ -121,7 +123,101 @@ struct FnDef<'a> {
     file: usize,
     name: &'a str,
     line: u32,
+    params: &'a [Param],
+    /// The type of the impl block the function is defined in, if any.
+    owner: Option<&'a str>,
     body: &'a Block,
+}
+
+/// Std types a method call on which never reaches a workspace `fn`,
+/// unless a workspace trait declares the method's name: an inherent
+/// method always wins over a trait method, so only a workspace trait
+/// implemented for the std type could be called. `Box`, `Rc` and `Arc`
+/// are absent — they deref to their contents. `[]` is a slice or array.
+const STD_RECEIVERS: &[&str] = &[
+    "Vec",
+    "VecDeque",
+    "String",
+    "str",
+    "BTreeMap",
+    "BTreeSet",
+    "HashMap",
+    "HashSet",
+    "BinaryHeap",
+    "Option",
+    "Result",
+    "[]",
+];
+
+/// The std receiver type an initializer builds: `vec![…]`, `format!(…)`
+/// or a `Vec::new()`-style constructor of one of [`STD_RECEIVERS`].
+fn std_init(init: &Expr) -> Option<&str> {
+    match init {
+        Expr::MacroCall { name, .. } if name == "vec" => Some("Vec"),
+        Expr::MacroCall { name, .. } if name == "format" => Some("String"),
+        Expr::Call { callee, .. } => match &**callee {
+            Expr::Path { segments, .. } => match segments.as_slice() {
+                [.., ty, ctor]
+                    if STD_RECEIVERS.contains(&ty.as_str())
+                        && matches!(ctor.as_str(), "new" | "with_capacity" | "default") =>
+                {
+                    Some(ty)
+                }
+                _ => None,
+            },
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Named struct fields, `(name, type text)`.
+type Fields<'a> = &'a [(String, String)];
+
+/// What receiver typing needs from the whole workspace.
+#[derive(Default)]
+struct WorkspaceTypes<'a> {
+    /// Per struct name, the crates defining it with their named fields;
+    /// `None` when one crate defines the name twice.
+    fields: BTreeMap<&'a str, Vec<(&'a str, Option<Fields<'a>>)>>,
+    /// Method names some workspace trait declares.
+    trait_methods: BTreeSet<&'a str>,
+}
+
+impl<'a> WorkspaceTypes<'a> {
+    fn collect(&mut self, krate: &'a str, items: &'a [Item]) {
+        for item in items {
+            match &item.kind {
+                ItemKind::TypeDef { name, fields } if !item.in_test => {
+                    let defs = self.fields.entry(name).or_default();
+                    match defs.iter_mut().find(|(c, _)| *c == krate) {
+                        Some(def) => def.1 = None,
+                        None => defs.push((krate, Some(fields))),
+                    }
+                }
+                ItemKind::Trait { items, .. } => {
+                    for it in items {
+                        if let ItemKind::Fn(f) = &it.kind {
+                            self.trait_methods.insert(&f.name);
+                        }
+                    }
+                }
+                ItemKind::Mod { items, .. } => self.collect(krate, items),
+                _ => {}
+            }
+        }
+    }
+
+    /// The fields of struct `name` as seen from `krate`: its own
+    /// definition, else the only one in the workspace.
+    fn fields_of(&self, krate: &str, name: &str) -> Option<Fields<'a>> {
+        let defs = self.fields.get(name)?;
+        match defs.iter().find(|(c, _)| *c == krate) {
+            Some(def) => def.1,
+            None if defs.len() == 1 => defs[0].1,
+            None => None,
+        }
+    }
 }
 
 /// Runs the hot-region analysis over the whole workspace. Returns raw
@@ -138,7 +234,7 @@ pub fn analyze_workspace(files: &[HotFile<'_>]) -> (Vec<Finding>, HotOverlay) {
             continue;
         }
         for item in hf.items {
-            item.visit_fns(&mut |it, f| {
+            item.visit_fns_in(None, &mut |it, f, owner| {
                 if it.in_test {
                     return;
                 }
@@ -147,10 +243,18 @@ pub fn analyze_workspace(files: &[HotFile<'_>]) -> (Vec<Finding>, HotOverlay) {
                         file: fi,
                         name: &f.name,
                         line: it.span.line,
+                        params: &f.params,
+                        owner,
                         body,
                     });
                 }
             });
+        }
+    }
+    let mut types = WorkspaceTypes::default();
+    for hf in files {
+        if hf.ctx.crate_name != BENCH_CRATE && hf.ctx.crate_name != LINT_CRATE {
+            types.collect(hf.ctx.crate_name, hf.items);
         }
     }
 
@@ -160,7 +264,7 @@ pub fn analyze_workspace(files: &[HotFile<'_>]) -> (Vec<Finding>, HotOverlay) {
         graph.add_def(d.name);
     }
     for d in &defs {
-        collect_edges(d.name, d.body, &mut graph);
+        collect_edges(d, files[d.file].ctx.crate_name, &types, &mut graph);
     }
     for (root, level) in HOT_ROOTS {
         graph.add_root(root, *level);
@@ -263,35 +367,226 @@ fn fn_at<'a>(defs: &[FnDef<'a>], file: usize, line: u32) -> Option<&'a str> {
         .map(|d| d.name)
 }
 
-/// The callee name of a call-shaped expression, when resolvable.
-fn callee_of(e: &Expr) -> Option<&str> {
-    match e {
-        Expr::Call { callee, .. } => match &**callee {
-            Expr::Path { segments, .. } => segments.last().map(String::as_str),
-            _ => None,
-        },
-        Expr::MethodCall { method, .. } => Some(method),
-        _ => None,
+/// Registers every call inside `d`'s body as an edge from its name,
+/// tagged with whether the call site sits inside a loop body; calls
+/// inside a `par_map*` closure argument are additionally owned by the
+/// synthetic [`PAR_CLOSURE`] root, always as in-loop edges (the closure
+/// runs once per element). A method call whose receiver is known to be a
+/// std type ([`STD_RECEIVERS`]) registers no edge: see [`EdgeWalk`].
+fn collect_edges<'a>(
+    d: &FnDef<'a>,
+    krate: &'a str,
+    types: &WorkspaceTypes<'a>,
+    graph: &mut CallGraph,
+) {
+    let mut walk = EdgeWalk {
+        caller: d.name,
+        graph,
+        krate,
+        types,
+        owner: d.owner,
+        env: Vec::new(),
+        all_looped: false,
+    };
+    for p in d.params {
+        let ty = if p.names.len() == 1 {
+            type_head(&p.ty)
+        } else {
+            None
+        };
+        for name in &p.names {
+            walk.env.push((name, ty));
+        }
     }
+    walk.block(d.body, 0);
 }
 
-/// Registers every call inside `body` as an edge from `caller`, tagged
-/// with whether the call site sits inside a loop body; calls inside a
-/// `par_map*` closure argument are additionally owned by the synthetic
-/// [`PAR_CLOSURE`] root, always as in-loop edges (the closure runs once
-/// per element).
-fn collect_edges(caller: &str, body: &Block, graph: &mut CallGraph) {
-    body.visit_depth(0, &mut |e, depth| {
-        if let Some(callee) = callee_of(e) {
-            graph.add_call(caller, callee, depth > 0);
-        }
-    });
-    for closure_body in par_closures(body) {
-        closure_body.visit(&mut |e| {
-            if let Some(callee) = callee_of(e) {
-                graph.add_call(PAR_CLOSURE, callee, true);
+/// The call-edge walk of one function body. It tracks the type name of
+/// each binding in lexical scope where it can tell: from a parameter's
+/// type, a `let` annotation, a `Vec::new()`/`vec![…]` initializer, or a
+/// `let` bound to a typed place (`&mut self.scratch`). A place's type
+/// follows field chains through the declared field types of workspace
+/// structs, starting from `self` (the impl's type) or a typed binding.
+/// Bindings it cannot type (patterns, `for` and closure bindings, match
+/// arms it does not model) are unknown, which keeps their edges — the
+/// name-grained default.
+struct EdgeWalk<'g, 'a> {
+    caller: &'a str,
+    graph: &'g mut CallGraph,
+    /// The crate the function is defined in: struct names resolve there
+    /// first.
+    krate: &'a str,
+    types: &'g WorkspaceTypes<'a>,
+    /// The enclosing impl's self type, when the function is a method.
+    owner: Option<&'a str>,
+    /// Bindings in scope, innermost last: `(name, type name if known)`.
+    env: Vec<(&'a str, Option<&'a str>)>,
+    /// Every call counts as in a loop (a `par_map*` closure body).
+    all_looped: bool,
+}
+
+impl<'a> EdgeWalk<'_, 'a> {
+    fn block(&mut self, b: &'a Block, depth: u32) {
+        let scope = self.env.len();
+        for stmt in &b.stmts {
+            match stmt {
+                Stmt::Let {
+                    names, ty, init, ..
+                } => {
+                    if let Some(init) = init {
+                        self.expr(init, depth);
+                    }
+                    let known = match (names.len(), ty, init) {
+                        (1, Some(ty), _) => type_head(ty),
+                        (1, None, Some(init)) => std_init(init).or_else(|| self.place_type(init)),
+                        _ => None,
+                    };
+                    for name in names {
+                        self.env.push((name, known));
+                    }
+                }
+                Stmt::Expr(e) => self.expr(e, depth),
+                Stmt::Item(_) => {}
             }
-        });
+        }
+        self.env.truncate(scope);
+    }
+
+    /// The type name of a place expression — a binding, `self`, a field
+    /// chain on either, or a reference or dereference of one — when known.
+    fn place_type(&self, e: &Expr) -> Option<&'a str> {
+        match e {
+            Expr::Path { segments, .. } => match segments.as_slice() {
+                [name] if name == "self" => self.owner,
+                [name] => self.env.iter().rev().find(|(n, _)| n == name)?.1,
+                _ => None,
+            },
+            Expr::Field { recv, name, .. } => {
+                let fields = self.types.fields_of(self.krate, self.place_type(recv)?)?;
+                let (_, ty) = fields.iter().find(|(f, _)| f == name)?;
+                type_head(ty)
+            }
+            Expr::Unary { op, expr, .. } if op == "&" || op == "*" => self.place_type(expr),
+            _ => None,
+        }
+    }
+
+    fn call(&mut self, callee: &str, depth: u32) {
+        self.graph
+            .add_call(self.caller, callee, self.all_looped || depth > 0);
+    }
+
+    fn expr(&mut self, e: &'a Expr, depth: u32) {
+        match e {
+            Expr::Path { .. } | Expr::Lit { .. } | Expr::MacroCall { .. } | Expr::Opaque { .. } => {
+            }
+            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => self.expr(expr, depth),
+            Expr::Binary { lhs, rhs, .. } => {
+                self.expr(lhs, depth);
+                self.expr(rhs, depth);
+            }
+            Expr::Assign { target, value, .. } => {
+                self.expr(target, depth);
+                self.expr(value, depth);
+            }
+            Expr::MethodCall {
+                recv, method, args, ..
+            } => {
+                let std_only = self
+                    .place_type(recv)
+                    .is_some_and(|ty| STD_RECEIVERS.contains(&ty))
+                    && !self.types.trait_methods.contains(method.as_str());
+                if !std_only {
+                    self.call(method, depth);
+                }
+                self.expr(recv, depth);
+                for a in args {
+                    self.expr(a, depth);
+                }
+            }
+            Expr::Field { recv, .. } => self.expr(recv, depth),
+            Expr::Call { callee, args, .. } => {
+                let mut par_root = false;
+                if let Expr::Path { segments, .. } = &**callee {
+                    if let Some(name) = segments.last() {
+                        self.call(name, depth);
+                        par_root = PAR_ROOT_FNS.contains(&name.as_str());
+                    }
+                }
+                self.expr(callee, depth);
+                for a in args {
+                    self.expr(a, depth);
+                    if let (true, Expr::Closure { params, body, .. }) = (par_root, a) {
+                        let mut closure = EdgeWalk {
+                            caller: PAR_CLOSURE,
+                            graph: &mut *self.graph,
+                            krate: self.krate,
+                            types: self.types,
+                            owner: self.owner,
+                            env: self.env.clone(),
+                            all_looped: true,
+                        };
+                        for p in params {
+                            closure.env.push((p, None));
+                        }
+                        closure.expr(body, depth);
+                    }
+                }
+            }
+            Expr::Index { recv, index, .. } => {
+                self.expr(recv, depth);
+                self.expr(index, depth);
+            }
+            Expr::Closure { params, body, .. } => {
+                let scope = self.env.len();
+                for p in params {
+                    self.env.push((p, None));
+                }
+                self.expr(body, depth);
+                self.env.truncate(scope);
+            }
+            Expr::Block(b) => self.block(b, depth),
+            Expr::If {
+                cond, then, els, ..
+            } => {
+                self.expr(cond, depth);
+                self.block(then, depth);
+                if let Some(e) = els {
+                    self.expr(e, depth);
+                }
+            }
+            Expr::Match {
+                scrutinee, arms, ..
+            } => {
+                self.expr(scrutinee, depth);
+                for a in arms {
+                    self.expr(a, depth);
+                }
+            }
+            Expr::For {
+                bindings,
+                iter,
+                body,
+                ..
+            } => {
+                self.expr(iter, depth);
+                let scope = self.env.len();
+                for b in bindings {
+                    self.env.push((b, None));
+                }
+                self.block(body, depth + 1);
+                self.env.truncate(scope);
+            }
+            Expr::While { cond, body, .. } => {
+                self.expr(cond, depth);
+                self.block(body, depth + 1);
+            }
+            Expr::Seq { items, .. } | Expr::StructLit { fields: items, .. } => {
+                for e in items {
+                    self.expr(e, depth);
+                }
+            }
+        }
     }
 }
 

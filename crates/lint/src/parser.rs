@@ -13,7 +13,7 @@
 //! DESIGN.md §6c): macro invocation bodies, match-arm guards, `let … else`
 //! divergence typing, const-generic expressions, and struct-field types.
 
-use crate::ast::{Block, Expr, FnItem, Item, ItemKind, Param, Span, Stmt};
+use crate::ast::{type_head, Block, Expr, FnItem, Item, ItemKind, Param, Span, Stmt};
 use crate::lexer::{Lexed, Token, TokenKind};
 
 /// Parses a lexed file into a list of items. Never fails: unmodeled
@@ -385,13 +385,19 @@ impl<'a> Parser<'a> {
             }
             "fn" => ItemKind::Fn(Box::new(self.fn_item())),
             "struct" | "enum" | "union" => {
+                let is_struct = self.text() == "struct";
                 self.pos += 1;
                 let name = self.ident_or_empty();
+                let mut fields = Vec::new();
                 // Scan to the defining body / terminating `;`, skipping
                 // generics, tuple fields and where clauses.
                 loop {
                     self.skip_until(&["{", "("]);
                     match self.text() {
+                        "{" if is_struct => {
+                            fields = self.named_fields();
+                            break;
+                        }
                         "{" => {
                             self.skip_balanced();
                             break;
@@ -407,7 +413,7 @@ impl<'a> Parser<'a> {
                         _ => break, // EOF / enclosing close
                     }
                 }
-                ItemKind::TypeDef { name }
+                ItemKind::TypeDef { name, fields }
             }
             "trait" => {
                 self.pos += 1;
@@ -424,11 +430,23 @@ impl<'a> Parser<'a> {
             }
             "impl" => {
                 self.pos += 1;
+                self.skip_angles();
+                // `impl [Trait for] Type [where …] {`: the self type is the
+                // path before `{`/`where`, after `for` when there is one.
+                let mut ty_start = self.pos;
+                self.skip_until(&["{", "for", "where"]);
+                if self.eat("for") {
+                    ty_start = self.pos;
+                    self.skip_until(&["{", "where"]);
+                }
+                let self_ty = type_head(&self.joined(ty_start, self.pos))
+                    .unwrap_or_default()
+                    .to_string();
                 self.skip_until(&["{"]);
                 if self.eat("{") {
                     let items = self.items_until_close();
                     self.eat("}");
-                    ItemKind::Impl { items }
+                    ItemKind::Impl { self_ty, items }
                 } else {
                     self.eat(";");
                     ItemKind::Other
@@ -521,6 +539,45 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The text of `toks[start..end]`, tokens joined by single spaces.
+    fn joined(&self, start: usize, end: usize) -> String {
+        self.toks[start..end]
+            .iter()
+            .map(|t| t.text.as_str())
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    /// Parses a struct's `{ … }` body into `(name, type text)` per named
+    /// field; cursor at `{`, left after the closing `}`. Attributes and
+    /// visibility are skipped.
+    fn named_fields(&mut self) -> Vec<(String, String)> {
+        let mut fields = Vec::new();
+        self.eat("{");
+        while !self.at_end() && self.text() != "}" {
+            let before = self.pos;
+            while self.eat("#") {
+                self.skip_balanced();
+            }
+            if self.eat("pub") && self.text() == "(" {
+                self.skip_balanced();
+            }
+            let name = self.ident_or_empty();
+            if self.eat(":") {
+                let ty_start = self.pos;
+                self.skip_until(&[","]);
+                if !name.is_empty() {
+                    fields.push((name, self.joined(ty_start, self.pos)));
+                }
+            }
+            if !self.eat(",") && self.pos == before {
+                self.pos += 1;
+            }
+        }
+        self.eat("}");
+        fields
+    }
+
     /// Parses a parenthesized parameter list; cursor at `(`.
     fn fn_params(&mut self) -> Vec<Param> {
         let mut params = Vec::new();
@@ -539,11 +596,7 @@ impl<'a> Parser<'a> {
             if self.eat(":") {
                 let ty_start = self.pos;
                 self.skip_until(&[","]);
-                ty = self.toks[ty_start..self.pos]
-                    .iter()
-                    .map(|t| t.text.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ");
+                ty = self.joined(ty_start, self.pos);
             }
             params.push(Param { names, ty, span });
             if !self.eat(",") {
@@ -604,14 +657,22 @@ impl<'a> Parser<'a> {
         let pat_start = self.pos;
         self.skip_until(&[":", "="]);
         let names = self.binding_idents(pat_start, self.pos);
+        let mut ty = None;
         if self.eat(":") {
+            let ty_start = self.pos;
             self.skip_until(&["="]);
+            ty = Some(self.joined(ty_start, self.pos));
         }
         let mut init = None;
         if self.eat("=") {
             init = Some(self.expr(0, true));
         }
-        stmts.push(Stmt::Let { names, init, span });
+        stmts.push(Stmt::Let {
+            names,
+            ty,
+            init,
+            span,
+        });
         if self.eat("else") && self.text() == "{" {
             stmts.push(Stmt::Expr(Expr::Block(self.block())));
         }

@@ -232,7 +232,7 @@ impl<'a> Analyzer<'a> {
                     self.collect_fn(f);
                 }
                 ItemKind::Mod { items, .. } => self.collect_items(items, t),
-                ItemKind::Impl { items } | ItemKind::Trait { items, .. } => {
+                ItemKind::Impl { items, .. } | ItemKind::Trait { items, .. } => {
                     // Methods never resolve from a bare call, so they are
                     // not defs; their bodies still contribute call sites.
                     for sub in items {

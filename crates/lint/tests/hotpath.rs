@@ -103,6 +103,53 @@ fn h4_stays_silent_on_negative_fixture() {
     assert!(hits.is_empty(), "{hits:#?}");
 }
 
+/// The `clear` allocation of the receiver-typing fixture, as a hit line.
+fn pool_clear_hits(src: &str) -> Vec<String> {
+    let line = src
+        .lines()
+        .position(|l| l.contains("self.spare = Vec::new();"))
+        .expect("fixture allocates in Pool::clear")
+        + 1;
+    rule_hits(src, "H1")
+        .into_iter()
+        .filter(|h| h.starts_with(&format!("{line}:")))
+        .collect()
+}
+
+#[test]
+fn std_receivers_do_not_reach_a_workspace_method_of_the_same_name() {
+    let src = include_str!("fixtures/h1_receiver_types.rs");
+    // Without `Shard::flush`, only std-typed receivers call `clear`.
+    let cut = src.find("pub struct Shard").expect("fixture has Shard");
+    let hits = pool_clear_hits(&src[..cut]);
+    assert!(hits.is_empty(), "{hits:#?}");
+    assert!(
+        rule_hits(&src[..cut], "H1").is_empty(),
+        "{:#?}",
+        rule_hits(&src[..cut], "H1")
+    );
+}
+
+#[test]
+fn a_workspace_receiver_still_reaches_the_method_through_self() {
+    // `flush` reaches `Pool::clear` through `Self::drain`: the allocation
+    // there is hot again.
+    let src = include_str!("fixtures/h1_receiver_types.rs");
+    assert_eq!(pool_clear_hits(src).len(), 1, "{:#?}", rule_hits(src, "H1"));
+}
+
+#[test]
+fn a_workspace_trait_method_keeps_its_edge_on_a_std_receiver() {
+    // A trait the workspace implements for `Vec` can be what `.clear()`
+    // resolves to, so the edge stays.
+    let src = format!(
+        "{}\npub trait Reset {{\n    fn clear(&mut self);\n}}\n",
+        &include_str!("fixtures/h1_receiver_types.rs")
+            [..include_str!("fixtures/h1_receiver_types.rs").find("pub struct Shard").unwrap()]
+    );
+    assert_eq!(pool_clear_hits(&src).len(), 1, "{:#?}", rule_hits(&src, "H1"));
+}
+
 #[test]
 fn hot_findings_obey_inline_allows() {
     let src = "pub fn step_active(x: &Thing) -> Thing {\n\
