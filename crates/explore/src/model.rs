@@ -71,10 +71,25 @@ pub(crate) fn scaled_lod(nb: &NoiseBreakdown, s_eff: f64, point: &ExplorePoint) 
     let a = point.area_scale();
     let sqrt_a = a.sqrt();
     let sqrt_m = f64::from(point.oversampling).sqrt();
+    rescaled_lod(nb, s_eff, sqrt_a, sqrt_a * sqrt_m, a * sqrt_m)
+}
+
+/// [`scaled_lod`] from its three per-`(oversampling, area)` divisors:
+/// `√a`, `√a·√M` and `a·√M`. The class tables compute the divisors once
+/// per `(oversampling, area)` and call this per target, which gives the
+/// same bits as [`scaled_lod`]: the same expressions in the same order.
+#[inline]
+pub(crate) fn rescaled_lod(
+    nb: &NoiseBreakdown,
+    s_eff: f64,
+    sqrt_a: f64,
+    stochastic_div: f64,
+    quantization_div: f64,
+) -> f64 {
     let drift = nb.drift / sqrt_a;
-    let stochastic = nb.stochastic / (sqrt_a * sqrt_m);
+    let stochastic = nb.stochastic / stochastic_div;
     let amp_flicker = nb.amp_flicker;
-    let quantization = nb.quantization / (a * sqrt_m);
+    let quantization = nb.quantization / quantization_div;
     let total =
         (drift.powi(2) + stochastic.powi(2) + amp_flicker.powi(2) + quantization.powi(2)).sqrt();
     3.0 * total / s_eff

@@ -43,8 +43,8 @@ use bios_platform::{
 
 use crate::context::PanelContext;
 use crate::error::ExploreError;
-use crate::model::{afe_incompatibility, scaled_lod, session_time_s, Bill};
-use crate::space::{area_scale_of, AxisIndex, AxisSizes, ExplorePoint, ExploreSpec};
+use crate::model::{afe_incompatibility, rescaled_lod, session_time_s, Bill};
+use crate::space::{area_scale_of, AxisIndex, AxisSizes, ExploreSpec};
 
 /// Every static closed form of one query, tabulated per class.
 #[derive(Debug)]
@@ -163,21 +163,67 @@ struct TargetTerms {
     required: f64,
 }
 
-/// Worst margin over the panel at `point`, and the first target (panel
-/// order) whose margin is below 1 — which exists exactly when the worst
-/// margin is below 1.
+/// The divisors [`rescaled_lod`] reads, per `(oversampling, area)` in
+/// `margin_class` order (oversampling-major).
+struct Rescales {
+    sqrt_a: Vec<f64>,
+    stochastic_div: Vec<f64>,
+    quantization_div: Vec<f64>,
+}
+
+impl Rescales {
+    fn of(spec: &ExploreSpec) -> Self {
+        let run = spec.space.oversampling.len() * spec.space.area_pct.len();
+        let mut r = Self {
+            sqrt_a: Vec::with_capacity(run),
+            stochastic_div: Vec::with_capacity(run),
+            quantization_div: Vec::with_capacity(run),
+        };
+        for &m in &spec.space.oversampling {
+            let sqrt_m = f64::from(m).sqrt();
+            for &pct in &spec.space.area_pct {
+                let a = area_scale_of(pct);
+                let sqrt_a = a.sqrt();
+                r.sqrt_a.push(sqrt_a);
+                r.stochastic_div.push(sqrt_a * sqrt_m);
+                r.quantization_div.push(a * sqrt_m);
+            }
+        }
+        r
+    }
+}
+
+/// One target's margin at every `(oversampling, area)` of a class, into
+/// `out`. A straight loop over the divisor columns, so it vectorizes.
 // advdiag::hot — per-(oversampling, area) kernel of the margin table
-fn margin_and_culprit(terms: &[TargetTerms], point: &ExplorePoint) -> (f64, Option<Analyte>) {
-    let mut worst = f64::INFINITY;
-    let mut culprit = None;
-    for t in terms {
-        let margin = t.required / scaled_lod(&t.noise, t.s_eff, point);
-        worst = worst.min(margin);
-        if culprit.is_none() && margin < 1.0 {
-            culprit = Some(t.analyte);
+fn target_margins(t: &TargetTerms, r: &Rescales, out: &mut [f64]) {
+    let n = out.len();
+    let (sqrt_a, stochastic, quantization) = (
+        &r.sqrt_a[..n],
+        &r.stochastic_div[..n],
+        &r.quantization_div[..n],
+    );
+    for k in 0..n {
+        out[k] = t.required / rescaled_lod(&t.noise, t.s_eff, sqrt_a[k], stochastic[k], quantization[k]);
+    }
+}
+
+/// Folds one target's margins (panel order) into the class's running
+/// worst margins and first targets with margin `< 1` — which exist
+/// exactly where the worst margin is below 1.
+// advdiag::hot — per-(oversampling, area) fold of the margin table
+fn fold_target(
+    analyte: Analyte,
+    margins: &[f64],
+    worst: &mut [f64],
+    culprits: &mut [Option<Analyte>],
+) {
+    for ((&m, w), c) in margins.iter().zip(worst.iter_mut()).zip(culprits.iter_mut()) {
+        *w = w.min(m);
+        if c.is_none() && m < 1.0 {
+            *c = Some(analyte);
         }
     }
-    (worst, culprit)
 }
 
 impl BlockTables {
@@ -203,6 +249,9 @@ impl BlockTables {
         let mut lod_culprits = Vec::with_capacity(block);
         let targets = spec.panel.targets();
         let mut terms = Vec::with_capacity(targets.len());
+        let run = sz.os * sz.ar;
+        let rescales = Rescales::of(spec);
+        let mut scratch = vec![0.0; run];
         for ch in 0..sz.ch {
             for cd in 0..sz.cd {
                 for ab in 0..sz.ab {
@@ -225,22 +274,22 @@ impl BlockTables {
                             required: required_lod(target)?.value(),
                         });
                     }
-                    for os in 0..sz.os {
-                        for ar in 0..sz.ar {
-                            let point = ExplorePoint {
-                                oversampling: spec.space.oversampling[os],
-                                area_pct: spec.space.area_pct[ar],
-                                ..rep
-                            };
-                            let (margin, culprit) = margin_and_culprit(&terms, &point);
-                            if margin.is_nan() {
-                                return Err(ExploreError::NonFinite {
-                                    what: "worst LOD margin",
-                                });
-                            }
-                            margins.push(margin);
-                            lod_culprits.push(culprit);
-                        }
+                    let start = margins.len();
+                    margins.resize(start + run, f64::INFINITY);
+                    lod_culprits.resize(start + run, None);
+                    for t in &terms {
+                        target_margins(t, &rescales, &mut scratch);
+                        fold_target(
+                            t.analyte,
+                            &scratch,
+                            &mut margins[start..],
+                            &mut lod_culprits[start..],
+                        );
+                    }
+                    if margins[start..].iter().any(|m| m.is_nan()) {
+                        return Err(ExploreError::NonFinite {
+                            what: "worst LOD margin",
+                        });
                     }
                 }
             }
