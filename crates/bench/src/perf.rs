@@ -192,7 +192,11 @@ pub fn run(policy: ExecPolicy) -> PerfReport {
     let explore = time_workload("explore", explore_specs.len(), policy, |p| {
         explore_specs
             .iter()
-            .map(|spec| explore(spec, p).expect("a BENCH_10 panel explores").frontier_digest)
+            .map(|spec| {
+                explore(spec, p)
+                    .expect("a BENCH_10 panel explores")
+                    .frontier_digest
+            })
             .collect::<Vec<u64>>()
     });
 

@@ -610,7 +610,11 @@ pub(crate) fn prune_block(
 /// members are cleared from their blocks' alive sets. `classes` counts
 /// distinct `(cost, margin)` bit pairs over all blocks, so a pair
 /// dominated in two blocks counts once.
-fn settle_dominance(groups: &BillGroups, block_len: u64, blocks: &mut [BlockPrune]) -> ((u64, u64), u64) {
+fn settle_dominance(
+    groups: &BillGroups,
+    block_len: u64,
+    blocks: &mut [BlockPrune],
+) -> ((u64, u64), u64) {
     let mut merged = Vec::new();
     let mut points = 0u64;
     for b in blocks.iter() {
@@ -758,7 +762,10 @@ pub(crate) fn merge_blocks(
             PassId::AfeRange => {
                 let fiber = (sz.s * sz.ch * sz.cd * sz.pf * sz.os * sz.ar) as u64;
                 let mut buckets = BTreeMap::new();
-                for c in blocks.iter().flat_map(|b| b.tables.afe_culprits.iter().flatten()) {
+                for c in blocks
+                    .iter()
+                    .flat_map(|b| b.tables.afe_culprits.iter().flatten())
+                {
                     let e = buckets
                         .entry(RejectReason::AfeRangeNoiseIncompatible { analyte: *c })
                         .or_insert((0, 0));
@@ -996,7 +1003,11 @@ mod tests {
         let mut ranks = Vec::new();
         for (n, b) in pruned.iter().enumerate() {
             let alive: Vec<u64> = b.alive.iter_set().collect();
-            ranks.extend((0..BLOCK).filter(|r| !alive.contains(r)).map(|r| n as u64 * BLOCK + r));
+            ranks.extend(
+                (0..BLOCK)
+                    .filter(|r| !alive.contains(r))
+                    .map(|r| n as u64 * BLOCK + r),
+            );
         }
         (bucket, ranks)
     }

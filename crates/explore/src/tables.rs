@@ -204,7 +204,8 @@ fn target_margins(t: &TargetTerms, r: &Rescales, out: &mut [f64]) {
         &r.quantization_div[..n],
     );
     for k in 0..n {
-        out[k] = t.required / rescaled_lod(&t.noise, t.s_eff, sqrt_a[k], stochastic[k], quantization[k]);
+        out[k] =
+            t.required / rescaled_lod(&t.noise, t.s_eff, sqrt_a[k], stochastic[k], quantization[k]);
     }
 }
 
@@ -218,7 +219,11 @@ fn fold_target(
     worst: &mut [f64],
     culprits: &mut [Option<Analyte>],
 ) {
-    for ((&m, w), c) in margins.iter().zip(worst.iter_mut()).zip(culprits.iter_mut()) {
+    for ((&m, w), c) in margins
+        .iter()
+        .zip(worst.iter_mut())
+        .zip(culprits.iter_mut())
+    {
         *w = w.min(m);
         if c.is_none() && m < 1.0 {
             *c = Some(analyte);
@@ -489,13 +494,11 @@ impl ClassTables {
                             });
                             let sk =
                                 cx.skeleton(rep.base.preference, rep.base.sharing, rep.base.cds)?;
-                            let bill = match self.bills[first..]
-                                .iter()
-                                .find_map(|b| b.on_skeleton(sk))
-                            {
-                                Some(bill) => bill,
-                                None => Bill::of(sk, &rep.base),
-                            };
+                            let bill =
+                                match self.bills[first..].iter().find_map(|b| b.on_skeleton(sk)) {
+                                    Some(bill) => bill,
+                                    None => Bill::of(sk, &rep.base),
+                                };
                             if !bill.is_finite() {
                                 return Err(ExploreError::NonFinite {
                                     what: "surrogate cost",

@@ -144,10 +144,18 @@ fn a_workspace_trait_method_keeps_its_edge_on_a_std_receiver() {
     // resolves to, so the edge stays.
     let src = format!(
         "{}\npub trait Reset {{\n    fn clear(&mut self);\n}}\n",
-        &include_str!("fixtures/h1_receiver_types.rs")
-            [..include_str!("fixtures/h1_receiver_types.rs").find("pub struct Shard").unwrap()]
+        &include_str!("fixtures/h1_receiver_types.rs")[..include_str!(
+            "fixtures/h1_receiver_types.rs"
+        )
+        .find("pub struct Shard")
+        .unwrap()]
     );
-    assert_eq!(pool_clear_hits(&src).len(), 1, "{:#?}", rule_hits(&src, "H1"));
+    assert_eq!(
+        pool_clear_hits(&src).len(),
+        1,
+        "{:#?}",
+        rule_hits(&src, "H1")
+    );
 }
 
 #[test]
