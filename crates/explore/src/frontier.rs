@@ -65,7 +65,7 @@ pub fn band_digest(band: &[ScoredDesign]) -> u64 {
 /// `policy`: each item builds the block's tables, runs every pass over
 /// the block's contiguous rank range and ranks its dominance rows down to
 /// a local skyline; a short sequential merge settles dominance across
-/// blocks and replays the pass order for the reports. The band's shards
+/// blocks and sums the blocks' shares of each report. The band's shards
 /// are then scored on the calling thread. The outcome is the same bits
 /// under every policy.
 pub fn explore_with_manager(
@@ -89,7 +89,7 @@ pub fn explore_with_manager(
         tables: blocks,
         ..
     } = pruned;
-    tables.attach(blocks);
+    tables.blocks = blocks;
     let (band, replayed_shards) = score_band(spec, &tables, &shards)?;
     let statically_rejected = total_points - surviving;
     Ok(ExploreOutcome {

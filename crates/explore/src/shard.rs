@@ -2,12 +2,11 @@
 //!
 //! After the pruning passes, the alive set — the exact Pareto band — is
 //! grouped into shards keyed by `(nanostructure, chopper, cds, adc_bits)`.
-//! Shards are scored in order on the calling thread — measured on a
-//! 2-vCPU host, fanning them out under the query's policy cost more in
-//! thread start-up than the few shards of a band save — and each shard's
-//! scored result is memoized under an FNV-1a **content hash** of everything the result
-//! depends on: model version, panel requirements, the shard's exact point
-//! list. Incremental re-exploration after a space edit therefore replays
+//! Shards are scored in order on the calling thread (on a 2-vCPU host,
+//! fanning them out under the query's policy measured slower), and each
+//! shard's scored result is memoized under an FNV-1a **content hash** of
+//! everything the result depends on: model version, panel requirements,
+//! the shard's exact point list. Incremental re-exploration after a space edit therefore replays
 //! untouched shards from cache and recomputes only invalidated ones —
 //! the same contract as the core calibration/LOD memo layer.
 //!

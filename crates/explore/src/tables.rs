@@ -50,9 +50,9 @@ use crate::space::{area_scale_of, AxisIndex, AxisSizes, ExploreSpec};
 #[derive(Debug)]
 pub struct ClassTables {
     pub(crate) sizes: AxisSizes,
-    /// Per-nanostructure tables, in nanostructure order; empty until the
-    /// blocks are attached.
-    blocks: Vec<BlockTables>,
+    /// Per-nanostructure tables, in nanostructure order; empty in
+    /// [`ClassTables::shared`] until the caller sets them.
+    pub(crate) blocks: Vec<BlockTables>,
     /// Session seconds per `(s, cd, pf, os)` time class.
     pub(crate) times: Vec<f64>,
     /// Electronics bill per `(s, ch, cd, ab, pf)` bill class.
@@ -334,13 +334,13 @@ impl ClassTables {
     }
 
     /// The nanostructure-free tables of `spec` — times, bills and bill
-    /// groups — with no blocks attached yet.
+    /// groups — with no nanostructure blocks yet.
     pub(crate) fn shared(spec: &ExploreSpec, cx: &PanelContext) -> Result<Self, ExploreError> {
         spec.validate()?;
         let sizes = spec.space.sizes();
         let mut tables = Self {
             sizes,
-            blocks: Vec::with_capacity(sizes.n),
+            blocks: Vec::new(),
             times: vec![0.0; sizes.time_classes()],
             bills: Vec::with_capacity(sizes.bill_classes()),
             groups: BillGroups::default(),
@@ -356,11 +356,6 @@ impl ClassTables {
         tables.fill_bills(spec, cx)?;
         tables.fill_groups();
         Ok(tables)
-    }
-
-    /// Attaches the nanostructure blocks, in nanostructure order.
-    pub(crate) fn attach(&mut self, blocks: Vec<BlockTables>) {
-        self.blocks = blocks;
     }
 
     /// The entries the point at `rank` reads; `None` past the end.
