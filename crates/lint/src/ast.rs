@@ -40,7 +40,6 @@ pub enum ItemKind {
     Fn(Box<FnItem>),
     /// An inline module with its items.
     Mod { name: String, items: Vec<Item> },
-    /// A struct / enum / union definition (name only).
     /// A struct, enum or union; `fields` holds a struct's named fields
     /// as `(name, type text)`, in declaration order.
     TypeDef {
@@ -49,9 +48,9 @@ pub enum ItemKind {
     },
     /// A trait definition and the items inside it (default bodies parse).
     Trait { name: String, items: Vec<Item> },
-    /// An `impl` block and the items inside it.
-    /// An impl block; `self_ty` is the implementing type's name (the
-    /// last path segment, generics dropped), empty when unparsed.
+    /// An `impl` block and the items inside it; `self_ty` is the
+    /// implementing type's name (the last path segment, generics
+    /// dropped), empty when unparsed.
     Impl { self_ty: String, items: Vec<Item> },
     /// A `const` or `static` (name only).
     Const { name: String },

@@ -11,7 +11,9 @@
 //!
 //! Known-unparsed constructs (documented false-negative classes, see
 //! DESIGN.md §6c): macro invocation bodies, match-arm guards, `let … else`
-//! divergence typing, const-generic expressions, and struct-field types.
+//! divergence typing, const-generic expressions, and the field types of
+//! tuple structs and enum variants (named struct fields keep their type
+//! text).
 
 use crate::ast::{type_head, Block, Expr, FnItem, Item, ItemKind, Param, Span, Stmt};
 use crate::lexer::{Lexed, Token, TokenKind};
