@@ -9,8 +9,10 @@
 //! * **margins** — a target's noise breakdown, effective sensitivity and
 //!   requirement depend only on `(nanostructure, chopper, cds,
 //!   adc_bits)`; only the surrogate's per-`(oversampling, area)`
-//!   rescaling ([`scaled_lod`]) runs per margin class, and one loop over
-//!   the panel yields both the worst margin and the first failing target;
+//!   rescaling ([`rescaled_lod`], from divisors computed once per
+//!   `(oversampling, area)`) runs per margin class, one target row at a
+//!   time, and folding the rows in panel order yields both the worst
+//!   margin and the first failing target;
 //! * **costs** — the electronics bill depends only on `(sharing, chopper,
 //!   cds, adc_bits, preference)`; it is built and summed once per such
 //!   bill class and priced ([`Bill::priced`], a few flops) per point on
@@ -194,7 +196,7 @@ impl Rescales {
 }
 
 /// One target's margin at every `(oversampling, area)` of a class, into
-/// `out`. A straight loop over the divisor columns, so it vectorizes.
+/// `out`: a straight loop over the divisor columns, with no branch.
 // advdiag::hot — per-(oversampling, area) kernel of the margin table
 fn target_margins(t: &TargetTerms, r: &Rescales, out: &mut [f64]) {
     let n = out.len();

@@ -53,9 +53,7 @@
 //! `Opaque` nodes, ambiguous names and unmarked indirection can only *hide*
 //! a violation (false negative), never invent one.
 
-use std::collections::BTreeSet;
-
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{type_head, Block, Expr, Item, ItemKind, Param, Stmt};
 use crate::callgraph::{CallGraph, Level};
