@@ -9,7 +9,7 @@ use crate::model::evaluate_static;
 use crate::passes::{merge_blocks, prune_block, PassManager, PassReport, Pruned};
 use crate::shard::{partition, score_band, ScoredDesign};
 use crate::space::ExploreSpec;
-use crate::tables::ClassTables;
+use crate::tables::{ClassTables, SharedTables};
 
 /// Everything one exploration run produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,12 +75,12 @@ pub fn explore_with_manager(
 ) -> Result<ExploreOutcome, ExploreError> {
     spec.validate()?;
     let cx = PanelContext::for_spec(spec)?;
-    let mut tables = ClassTables::shared(spec, &cx)?;
+    let shared = SharedTables::build(spec, &cx)?;
     let order = manager.order();
     let blocks = try_par_map(policy, &spec.space.nanostructures, |n, _| {
-        prune_block(spec, &tables, n, order)
+        prune_block(spec, &shared, n, order)
     })?;
-    let pruned = merge_blocks(spec, &tables, order, blocks);
+    let pruned = merge_blocks(spec, &shared, order, blocks);
     let total_points = spec.space.len();
     let surviving = pruned.surviving();
     let shards = partition(spec, pruned.alive_ranks())?;
@@ -89,7 +89,7 @@ pub fn explore_with_manager(
         tables: blocks,
         ..
     } = pruned;
-    tables.blocks = blocks;
+    let tables = ClassTables { shared, blocks };
     let (band, replayed_shards) = score_band(spec, &tables, &shards)?;
     let statically_rejected = total_points - surviving;
     Ok(ExploreOutcome {

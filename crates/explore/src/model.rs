@@ -197,7 +197,10 @@ impl Bill {
 
     /// The bill [`Bill::of`] builds for `skeleton` and this bill's
     /// design point, when `skeleton` has this bill's count of working
-    /// electrodes — the only skeleton field the electronics budget reads.
+    /// electrodes — the only skeleton field [`Bill::of`] passes to the
+    /// electronics budget. The class-table property test compares every
+    /// tabulated cost with [`cost_scalar`], which builds its bill afresh,
+    /// so a budget that came to read more of the skeleton fails there.
     pub(crate) fn on_skeleton(&self, skeleton: Skeleton) -> Option<Self> {
         (skeleton.n_we == self.skeleton.n_we).then_some(Self { skeleton, ..*self })
     }

@@ -43,7 +43,7 @@
 //! * **Dominance over bill-group rows.** Points of one margin class whose
 //!   `(sharing, preference)` give bit-identical bills share cost and
 //!   margin bits, so Dominance ranks one row per feasible
-//!   `(margin class, bill group)` (see [`ClassTables`]) and expands
+//!   `(margin class, bill group)` (see [`crate::tables`]) and expands
 //!   dominated rows back to their member ranks. A verdict reads only the
 //!   `(cost, margin)` pair, so this is exact; the Dominated bucket counts
 //!   points by multiplicity and classes as distinct pairs.
@@ -66,7 +66,7 @@ use bios_biochem::Analyte;
 use crate::error::ExploreError;
 use crate::model::RejectReason;
 use crate::space::{AxisSizes, ExploreSpec};
-use crate::tables::{BillGroups, BlockTables, ClassTables};
+use crate::tables::{BillGroups, BlockTables, SharedTables};
 
 /// A fixed-size bitmap over one nanostructure block's ranks; bit set =
 /// point still alive.
@@ -382,7 +382,7 @@ fn total_order_bits(x: f64) -> u64 {
 /// per oversampling value, infeasible margin classes per row.
 // advdiag::hot — class-level dominance sweep: one visit per (margin class, bill group)
 fn fill_group_rows(
-    t: &ClassTables,
+    t: &SharedTables,
     block: &BlockTables,
     n: usize,
     budget_s: f64,
@@ -539,7 +539,7 @@ pub(crate) struct BlockPrune {
 // block's tables, alive set and dominance rows once per block)
 pub(crate) fn prune_block(
     spec: &ExploreSpec,
-    shared: &ClassTables,
+    shared: &SharedTables,
     n: usize,
     order: &[PassId],
 ) -> Result<BlockPrune, ExploreError> {
@@ -626,7 +626,7 @@ fn settle_dominance(
     merged.sort_by_key(GroupRow::key);
     let mut dominated = vec![false; merged.len()];
     mark_dominated(&merged, &mut dominated);
-    let mut killed = Vec::new();
+    let mut pairs = Vec::new();
     let mut killed_points = 0u64;
     for (row, _) in merged.iter().zip(&dominated).filter(|(_, &dom)| dom) {
         let n = row.base / block_len;
@@ -635,41 +635,14 @@ fn settle_dominance(
             alive.clear(row.base - n * block_len + offset);
             killed_points += 1;
         }
-        killed.push(row.key());
+        pairs.push(row.key());
     }
-    killed.dedup();
-    let mut runs: Vec<&[u128]> = blocks.iter().map(|b| &b.dominated_pairs[..]).collect();
-    runs.push(&killed);
-    (
-        (count_distinct_keys(&runs), points + killed_points),
-        killed_points,
-    )
-}
-
-/// The number of distinct keys over sorted runs, each free of repeats:
-/// a key counts unless an earlier run holds it. A 2¹⁶-bit filter of the
-/// keys of earlier runs sends only possible repeats to a binary search.
-fn count_distinct_keys(runs: &[&[u128]]) -> u64 {
-    fn slot(key: u128) -> usize {
-        let folded = (key >> 64) as u64 ^ key as u64;
-        (folded.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48) as usize
+    for b in blocks.iter() {
+        pairs.extend_from_slice(&b.dominated_pairs);
     }
-    let mut seen = vec![0u64; (1 << 16) / 64];
-    let mut distinct = 0u64;
-    for (j, run) in runs.iter().enumerate() {
-        for &key in run.iter() {
-            let h = slot(key);
-            let maybe_seen = seen[h >> 6] >> (h & 63) & 1 == 1;
-            if !(maybe_seen && runs[..j].iter().any(|r| r.binary_search(&key).is_ok())) {
-                distinct += 1;
-            }
-        }
-        for &key in run.iter() {
-            let h = slot(key);
-            seen[h >> 6] |= 1 << (h & 63);
-        }
-    }
-    distinct
+    pairs.sort();
+    pairs.dedup();
+    ((pairs.len() as u64, points + killed_points), killed_points)
 }
 
 fn bucketize(map: BTreeMap<RejectReason, (u64, u64)>) -> Vec<RejectBucket> {
@@ -716,7 +689,7 @@ impl Pruned {
 /// the Dominance pass on.
 pub(crate) fn merge_blocks(
     spec: &ExploreSpec,
-    shared: &ClassTables,
+    shared: &SharedTables,
     order: &[PassId],
     mut blocks: Vec<BlockPrune>,
 ) -> Pruned {

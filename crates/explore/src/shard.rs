@@ -243,7 +243,7 @@ mod tests {
     use crate::context::PanelContext;
     use crate::space::ExploreSpace;
     use bios_biochem::Analyte;
-    use bios_platform::{ExecPolicy, TargetSpec};
+    use bios_platform::TargetSpec;
 
     /// A panel no other unit test explores: the shard cache is
     /// process-global and tests run in parallel, so a test that needs a
@@ -292,7 +292,7 @@ mod tests {
     fn replay_is_bit_identical_and_reattaches_ranks() {
         let spec = tiny_spec();
         let cx = PanelContext::for_spec(&spec).expect("context");
-        let tables = ClassTables::build(&spec, &cx, ExecPolicy::Sequential).expect("tables");
+        let tables = ClassTables::build(&spec, &cx).expect("tables");
         let p = spec.space.point_at(3).expect("point");
         let shard = Shard {
             nanostructure: p.base.nanostructure,

@@ -25,23 +25,21 @@
 //! * **AFE culprits** and **session times** are one closed form per class.
 //!
 //! The tables split in two. The nanostructure-free part — times, bills
-//! and bill groups — is built once per query by [`ClassTables::shared`].
-//! Margins, LOD culprits and AFE culprits all read the nanostructure, and
-//! ranks are nanostructure-major, so they are built per nanostructure
-//! block ([`BlockTables`]): inside the explore pipeline, by the same
-//! fan-out item that prunes the block (see [`crate::passes`]); through
-//! [`ClassTables::build`], one [`try_par_map`] item per block under the
-//! query's [`ExecPolicy`]. Blocks are kept in nanostructure order, so the
-//! tables are the same bits under every policy.
+//! and bill groups ([`SharedTables`]) — is built once per query. Margins,
+//! LOD culprits and AFE culprits all read the nanostructure, and ranks
+//! are nanostructure-major, so they are built per nanostructure block
+//! ([`BlockTables`]). Inside the explore pipeline the fan-out item that
+//! prunes a block builds its tables (see [`crate::passes`]), and the
+//! pipeline joins the shared part and the blocks, in nanostructure order,
+//! into the [`ClassTables`] that scoring reads; [`ClassTables::build`]
+//! builds the same tables in one plain loop.
 //!
 //! One build per query feeds every pass and the band scoring. The tables
 //! are a pure function of the spec, so the passes built on them stay pure
 //! functions of the spec: order independence is unaffected.
 
 use bios_biochem::Analyte;
-use bios_platform::{
-    effective_sensitivity, noise_breakdown, required_lod, try_par_map, ExecPolicy, NoiseBreakdown,
-};
+use bios_platform::{effective_sensitivity, noise_breakdown, required_lod, NoiseBreakdown};
 
 use crate::context::PanelContext;
 use crate::error::ExploreError;
@@ -51,10 +49,16 @@ use crate::space::{area_scale_of, AxisIndex, AxisSizes, ExploreSpec};
 /// Every static closed form of one query, tabulated per class.
 #[derive(Debug)]
 pub struct ClassTables {
-    pub(crate) sizes: AxisSizes,
-    /// Per-nanostructure tables, in nanostructure order; empty in
-    /// [`ClassTables::shared`] until the caller sets them.
+    pub(crate) shared: SharedTables,
+    /// Per-nanostructure tables, in nanostructure order, one per
+    /// nanostructure.
     pub(crate) blocks: Vec<BlockTables>,
+}
+
+/// The nanostructure-free tables of one query.
+#[derive(Debug)]
+pub(crate) struct SharedTables {
+    pub(crate) sizes: AxisSizes,
     /// Session seconds per `(s, cd, pf, os)` time class.
     pub(crate) times: Vec<f64>,
     /// Electronics bill per `(s, ch, cd, ab, pf)` bill class.
@@ -319,30 +323,41 @@ impl BlockTables {
 
 impl ClassTables {
     /// Tabulates every closed form of `spec` over its classes; `cx` must be
-    /// `spec`'s panel context. The nanostructure blocks run one
-    /// [`try_par_map`] item each under `policy`; the tables are the same
-    /// bits under every policy.
-    pub fn build(
-        spec: &ExploreSpec,
-        cx: &PanelContext,
-        policy: ExecPolicy,
-    ) -> Result<Self, ExploreError> {
-        let mut tables = Self::shared(spec, cx)?;
-        let sz = tables.sizes;
-        tables.blocks = try_par_map(policy, &spec.space.nanostructures, |n, _| {
-            BlockTables::build(spec, sz, n)
-        })?;
-        Ok(tables)
+    /// `spec`'s panel context.
+    pub fn build(spec: &ExploreSpec, cx: &PanelContext) -> Result<Self, ExploreError> {
+        let shared = SharedTables::build(spec, cx)?;
+        let mut blocks = Vec::with_capacity(shared.sizes.n);
+        for n in 0..shared.sizes.n {
+            blocks.push(BlockTables::build(spec, shared.sizes, n)?);
+        }
+        Ok(Self { shared, blocks })
     }
 
+    /// The entries the point at `rank` reads; `None` past the end.
+    pub fn entry(&self, rank: u64) -> Option<ClassEntry> {
+        let t = &self.shared;
+        let sz = &t.sizes;
+        let i = sz.decode(rank)?;
+        let block = &self.blocks[i.n];
+        let mc = sz.margin_class(0, i.ch, i.cd, i.ab, i.os, i.ar);
+        Some(ClassEntry {
+            margin: block.margins[mc],
+            lod_culprit: block.lod_culprits[mc],
+            afe_culprit: block.afe_culprits[i.ab],
+            session_s: t.times[sz.time_class(i.s, i.cd, i.pf, i.os)],
+            cost: t.priced(sz.bill_class(i.s, i.ch, i.cd, i.ab, i.pf), i.os, i.ar),
+        })
+    }
+}
+
+impl SharedTables {
     /// The nanostructure-free tables of `spec` — times, bills and bill
-    /// groups — with no nanostructure blocks yet.
-    pub(crate) fn shared(spec: &ExploreSpec, cx: &PanelContext) -> Result<Self, ExploreError> {
+    /// groups; `cx` must be `spec`'s panel context.
+    pub(crate) fn build(spec: &ExploreSpec, cx: &PanelContext) -> Result<Self, ExploreError> {
         spec.validate()?;
         let sizes = spec.space.sizes();
         let mut tables = Self {
             sizes,
-            blocks: Vec::new(),
             times: vec![0.0; sizes.time_classes()],
             bills: Vec::with_capacity(sizes.bill_classes()),
             groups: BillGroups::default(),
@@ -358,30 +373,6 @@ impl ClassTables {
         tables.fill_bills(spec, cx)?;
         tables.fill_groups();
         Ok(tables)
-    }
-
-    /// The entries the point at `rank` reads; `None` past the end.
-    pub fn entry(&self, rank: u64) -> Option<ClassEntry> {
-        let sz = &self.sizes;
-        let i = sz.decode(rank)?;
-        let block = self.blocks.get(i.n)?;
-        let mc = sz.margin_class(0, i.ch, i.cd, i.ab, i.os, i.ar);
-        Some(ClassEntry {
-            margin: block.margins[mc],
-            lod_culprit: block.lod_culprits[mc],
-            afe_culprit: block.afe_culprits[i.ab],
-            session_s: self.times[sz.time_class(i.s, i.cd, i.pf, i.os)],
-            cost: self.cost_at(i),
-        })
-    }
-
-    /// The scalar cost of the point at `i`: its bill, priced.
-    pub(crate) fn cost_at(&self, i: AxisIndex) -> f64 {
-        self.priced(
-            self.sizes.bill_class(i.s, i.ch, i.cd, i.ab, i.pf),
-            i.os,
-            i.ar,
-        )
     }
 
     /// Bill class `bill` priced at oversampling index `os` and area index

@@ -216,7 +216,7 @@ proptest! {
             prop_assert!(explore(&spec, ExecPolicy::Sequential).is_err());
             return Ok(());
         };
-        let tables = match ClassTables::build(&spec, &cx, ExecPolicy::Sequential) {
+        let tables = match ClassTables::build(&spec, &cx) {
             Ok(tables) => tables,
             Err(e) => {
                 // A target without a calibration row: the per-point closed
